@@ -11,10 +11,6 @@ class NfUnavailable(Exception):
     pass
 
 
-class SubscriberNotFound(Exception):
-    pass
-
-
 class PolicyDenied(Exception):
     pass
 
@@ -28,7 +24,6 @@ class SubscriptionPolicy:
     allowed_slices: frozenset[str]
     authorized_services: frozenset[str]
     qos_class: str = "best-effort"
-    preferences: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
         if not self.allowed_slices:
@@ -65,8 +60,6 @@ class NfInstance:
     id: str
     load: int = 0
 
-
-NF_KINDS = ("AMF", "AUSF", "UDM", "SMF", "PCF", "UPF", "SEAF")
 
 DEFAULT_NF_COUNTS = {"AMF": 2, "AUSF": 2, "UDM": 1, "SMF": 2, "PCF": 1,
                      "UPF": 2, "SEAF": 1}

@@ -4,61 +4,49 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
-from typing import Any, Callable
-
-
-@dataclass(frozen=True)
-class Event:
-    """A scheduled delivery. Ordering: (fire_time, sequence)."""
-
-    fire_time: int
-    sequence: int
-    target: str
-    payload: Any
+from typing import Callable
 
 
 class Kernel:
     """Single event queue, single virtual clock, seeded random streams.
 
-    Entities register a handler under a string id and interact only by
-    scheduling events; the kernel is never shared between scenario runs.
+    The queue is a heap of ``(fire_time, sequence, action)``: ``action`` is a
+    zero-argument callable run when the clock reaches ``fire_time``, and the
+    sequence number breaks ties in scheduling order. Entities interact only by
+    scheduling actions; the kernel is never shared between scenario runs.
     """
 
     def __init__(self, seed: int = 0):
         self.seed = seed
         self.now = 0
-        self._heap: list[tuple[int, int, Event]] = []
+        self._heap: list[tuple[int, int, Callable[[], None]]] = []
         self._seq = 0
-        self._handlers: dict[str, Callable[[Any], None]] = {}
         self._streams: dict[str, random.Random] = {}
 
-    def register(self, entity_id: str, handler: Callable[[Any], None]) -> None:
-        self._handlers[entity_id] = handler
-
-    def schedule(self, delay: int, target: str, payload: Any) -> int:
+    def schedule(self, delay: int, action: Callable[[], None]) -> int:
+        """Run ``action()`` ``delay`` ms from now; returns its sequence number."""
         if delay < 0:
             raise ValueError("delay must be >= 0")
         self._seq += 1
-        ev = Event(self.now + int(delay), self._seq, target, payload)
-        heapq.heappush(self._heap, (ev.fire_time, ev.sequence, ev))
-        return ev.sequence
+        heapq.heappush(self._heap, (self.now + int(delay), self._seq, action))
+        return self._seq
 
     def run_until(self, t_end: int) -> int:
         """Process every event with fire_time <= t_end; clock ends at t_end."""
         if t_end < self.now:
             raise ValueError("t_end must be >= current virtual time")
+        heap = self._heap
         processed = 0
-        while self._heap and self._heap[0][0] <= t_end:
-            _, _, ev = heapq.heappop(self._heap)
-            self.now = ev.fire_time
-            handler = self._handlers.get(ev.target)
-            if handler is None:
-                raise KeyError(f"no handler registered for target {ev.target!r}")
-            handler(ev.payload)
+        while heap and heap[0][0] <= t_end:
+            self.now, _, action = heapq.heappop(heap)
+            action()
             processed += 1
         self.now = t_end
         return processed
+
+    def discard_pending(self) -> None:
+        """Drop every event still queued, releasing what the actions hold."""
+        self._heap.clear()
 
     def stream(self, label: str) -> random.Random:
         """Independent deterministic RNG per label; same seed+label, same draws."""

@@ -111,9 +111,6 @@ class TtlCache:
     def contains(self, cached_id: bytes) -> bool:
         return cached_id in self._entries
 
-    def values(self) -> list[DecisionCacheEntry]:
-        return list(self._entries.values())
-
     def dump(self, now: int) -> list[str]:
         lines = []
         for e in self._entries.values():
@@ -271,36 +268,41 @@ class Ric:
                 return True
         return False
 
-    def route_registration(self, request: RegistrationRequest,
-                           now: int) -> tuple[RoutingDecision, str]:
-        """Total decision procedure; the second element is the reason tag."""
+    def route_registration(
+            self, request: RegistrationRequest, now: int
+    ) -> tuple[RoutingDecision, str, DecisionCacheEntry | None]:
+        """Total decision procedure: (decision, reason tag, cache entry).
+
+        The entry is the live cache entry an EXPRESS or DELEGATED decision
+        was made on, and None for every other decision.
+        """
         known = self.is_known(request.cached_id)
         if request.cached_id in self.blacklist:
-            return RoutingDecision.REJECT, "blacklisted"
+            return RoutingDecision.REJECT, "blacklisted", None
         if self.dos_filter is not None:
             if not self.dos_filter.check(request.cached_id, known, now):
-                return RoutingDecision.REJECT, "filtered"
+                return RoutingDecision.REJECT, "filtered", None
         if request.express_eligible and self.decision_cache is not None:
             entry = self.decision_cache.lookup(request.cached_id,
                                                request.request_type, now)
             if isinstance(entry, DecisionCacheEntry):
-                return RoutingDecision.EXPRESS, "decision-cache-hit"
+                return RoutingDecision.EXPRESS, "decision-cache-hit", entry
         if self.assessor is not None:
             health = self.assessor.current(now)
             threshold = (self.bandwidth_free_fraction
                          * self.assessor.link.profile.bandwidth_bps)
             if health.reachable and health.available_bandwidth >= threshold:
-                return RoutingDecision.STANDARD, "backhaul-healthy"
+                return RoutingDecision.STANDARD, "backhaul-healthy", None
         if self.state_cache is not None:
             entry = self.state_cache.lookup(request.cached_id,
                                             request.request_type, now)
             if isinstance(entry, StateCacheEntry):
-                return RoutingDecision.DELEGATED, "state-cache-hit"
+                return RoutingDecision.DELEGATED, "state-cache-hit", entry
         unknown_roamer = (not known
                           and request.home_network != request.serving_network)
         if self.probationary_enabled and unknown_roamer:
-            return RoutingDecision.PROBATIONARY, "unknown-roamer"
-        return RoutingDecision.REJECT, "no-path"
+            return RoutingDecision.PROBATIONARY, "unknown-roamer", None
+        return RoutingDecision.REJECT, "no-path", None
 
     # -- express challenge -------------------------------------------------
 

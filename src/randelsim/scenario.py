@@ -8,6 +8,7 @@ from importlib import resources
 from pathlib import Path
 
 from .backhaul import BackhaulProfile
+from .ric import InvalidBudget, XAppDescriptor
 from .ue import ArrivalSpec
 
 DESIGNS = ("baseline", "colocated", "decision-cache", "logic-replication")
@@ -121,6 +122,12 @@ def _require(d: dict, key: str, typ, where: str):
     return value
 
 
+def _at_least(value: int, fieldname: str, minimum: int) -> int:
+    if value < minimum:
+        raise ScenarioError(fieldname, f"must be >= {minimum}")
+    return value
+
+
 def _backhaul_from(d: dict, where: str) -> BackhaulProfile:
     profile = BackhaulProfile(
         base_latency_ms=_require(d, "base_latency_ms", int, where),
@@ -217,7 +224,9 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
         dos_unknown_per_window=int(th.get("dos_unknown_per_window", 50)),
         dos_retry_limit=int(th.get("dos_retry_limit", 3)),
         bandwidth_free_fraction=float(th.get("bandwidth_free_fraction", 0.1)),
-        probe_interval_ms=int(th.get("probe_interval_ms", 1000)),
+        # the probe and the deferred-auth poll reschedule every interval
+        probe_interval_ms=_at_least(int(th.get("probe_interval_ms", 1000)),
+                                    "thresholds.probe_interval_ms", 1),
         probe_timeout_ms=int(th.get("probe_timeout_ms", 2000)),
         utilization_window_ms=int(th.get("utilization_window_ms", 1000)),
     )
@@ -233,6 +242,13 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
     if cache_ttl <= 0:
         raise ScenarioError("cache_ttl_ms", "must be > 0")
 
+    xapp_delays = dict(doc.get("xapp_delays_ms", {}))
+    for xapp, delay in xapp_delays.items():
+        try:
+            XAppDescriptor(xapp, frozenset(), delay)
+        except InvalidBudget as exc:
+            raise ScenarioError(f"xapp_delays_ms.{xapp}", str(exc)) from exc
+
     return ScenarioConfig(
         name=name,
         seed=seed,
@@ -242,18 +258,23 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
         home_backhaul=home,
         ues=ues,
         serving_network=doc.get("serving_network", "net-serving"),
-        radio_latency_ms=int(doc.get("radio_latency_ms", 2)),
-        core_hop_latency_ms=int(doc.get("core_hop_latency_ms", 1)),
+        radio_latency_ms=_at_least(int(doc.get("radio_latency_ms", 2)),
+                                   "radio_latency_ms", 0),
+        core_hop_latency_ms=_at_least(int(doc.get("core_hop_latency_ms", 1)),
+                                      "core_hop_latency_ms", 0),
         message_bytes=dict(doc.get("message_bytes", {})),
-        request_timeout_ms=int(doc.get("request_timeout_ms", 10_000)),
+        request_timeout_ms=_at_least(int(doc.get("request_timeout_ms", 10_000)),
+                                     "request_timeout_ms", 1),
         reauth_interval_ms=int(doc.get("reauth_interval_ms", 60_000)),
         cache_ttl_ms=cache_ttl,
-        cache_capacity=int(doc.get("cache_capacity", DEFAULT_CACHE_CAPACITY)),
+        cache_capacity=_at_least(
+            int(doc.get("cache_capacity", DEFAULT_CACHE_CAPACITY)),
+            "cache_capacity", 1),
         thresholds=thresholds,
         dos_filter=bool(doc.get("dos_filter", False)),
         probationary=probationary,
         prewarm=prewarm,
-        xapp_delays_ms=dict(doc.get("xapp_delays_ms", {})),
+        xapp_delays_ms=xapp_delays,
     )
 
 

@@ -84,7 +84,6 @@ class Simulation:
         self.cfg = config
         self.seed = config.seed if seed is None else seed
         self.kernel = Kernel(self.seed)
-        self.kernel.register("sim", lambda thunk: thunk())
         self.colocated = config.design == "colocated"
 
         self.link = BackhaulLink(config.backhaul, self.kernel.stream("backhaul"))
@@ -264,9 +263,13 @@ class Simulation:
     # -- run ---------------------------------------------------------------
 
     def run(self) -> MetricsReport:
-        self._schedule_probes()
+        if self.ric.assessor is not None:
+            self.kernel.schedule(0, self._probe)
         self._schedule_arrivals()
         self.kernel.run_until(self.cfg.horizon_ms)
+        # events past the horizon never fire; dropping them frees the
+        # actions that refer back to this simulation
+        self.kernel.discard_pending()
         for att in self.attempts:
             if not att.finalized:
                 self._finalize(att, "timeout")
@@ -279,17 +282,11 @@ class Simulation:
             link_bytes_total=self.link.bytes_total,
             link_msgs_total=self.link.msg_total)
 
-    def _schedule_probes(self) -> None:
-        if self.ric.assessor is None:
-            return
+    def _probe(self) -> None:
+        self.ric.assessor.assess(self.kernel.now)
         interval = self.cfg.thresholds.probe_interval_ms
-
-        def probe():
-            self.ric.assessor.assess(self.kernel.now)
-            if self.kernel.now + interval <= self.cfg.horizon_ms:
-                self.kernel.schedule(interval, "sim", probe)
-
-        self.kernel.schedule(0, "sim", probe)
+        if self.kernel.now + interval <= self.cfg.horizon_ms:
+            self.kernel.schedule(interval, self._probe)
 
     def _schedule_arrivals(self) -> None:
         for spec in self.cfg.ues:
@@ -309,7 +306,7 @@ class Simulation:
     def _schedule_attempt(self, device: UeDevice, request_type: str,
                           at: int) -> None:
         delay = at - self.kernel.now
-        self.kernel.schedule(delay, "sim",
+        self.kernel.schedule(delay,
                              lambda: self._start_attempt(device, request_type))
 
     # -- attempt lifecycle -------------------------------------------------
@@ -319,17 +316,17 @@ class Simulation:
         att = Attempt(device=device, request_type=request_type,
                       start=self.kernel.now)
         self.attempts.append(att)
-        self.kernel.schedule(self.cfg.request_timeout_ms, "sim",
-                             lambda: self._finalize_if_pending(att, "timeout"))
+        self.kernel.schedule(self.cfg.request_timeout_ms,
+                             lambda: self._finalize(att, "timeout"))
         # one radio hop carries the request from the device to the RAN
-        self.kernel.schedule(self.cfg.radio_latency_ms, "sim",
+        self.kernel.schedule(self.cfg.radio_latency_ms,
                              lambda: self._route_attempt(att, force_standard))
         return att
 
     def _route_attempt(self, att: Attempt, force_standard: bool) -> None:
         device = att.device
         if force_standard or self.cfg.design in ("baseline", "colocated"):
-            decision, reason = RoutingDecision.STANDARD, "forced"
+            decision, reason, entry = RoutingDecision.STANDARD, "forced", None
         else:
             request = RegistrationRequest(
                 cached_id=device.identity.cached_id,
@@ -341,30 +338,23 @@ class Simulation:
                 express_eligible=device.profile.express_eligible,
                 slice_id=device.profile.slice_id,
                 service=device.profile.service)
-            decision, reason = self.ric.route_registration(request,
-                                                           self.kernel.now)
-        self._dispatch_decision(att, decision, reason)
+            decision, reason, entry = self.ric.route_registration(
+                request, self.kernel.now)
+        self._dispatch_decision(att, decision, reason, entry)
 
     def _dispatch_decision(self, att: Attempt, decision: RoutingDecision,
-                           reason: str) -> None:
+                           reason: str,
+                           entry: DecisionCacheEntry | None) -> None:
         device = att.device
         att.path = decision.value
         routing_delay = self.ric.xapp_delay("routing")
         if decision is RoutingDecision.STANDARD:
             gen = self._standard_flow(att, device, routing_delay)
         elif decision is RoutingDecision.EXPRESS:
-            entry = self.ric.decision_cache.lookup(
-                device.identity.cached_id,
-                "reauth" if att.request_type == "reauth" else "registration",
-                self.kernel.now)
             gen = self._express_flow(att, device, entry,
                                      routing_delay
                                      + self.ric.xapp_delay("decision-cache"))
         elif decision is RoutingDecision.DELEGATED:
-            entry = self.ric.state_cache.lookup(
-                device.identity.cached_id,
-                "reauth" if att.request_type == "reauth" else "registration",
-                self.kernel.now)
             gen = self._delegated_flow(att, device, entry,
                                        routing_delay
                                        + self.ric.xapp_delay("state-auth")
@@ -379,10 +369,6 @@ class Simulation:
             self._finalize(att, outcome)
             return
         self._resume(att, gen)
-
-    def _finalize_if_pending(self, att: Attempt, outcome: str) -> None:
-        if not att.finalized:
-            self._finalize(att, outcome)
 
     def _finalize(self, att: Attempt, outcome: str) -> None:
         if att.finalized:
@@ -462,7 +448,7 @@ class Simulation:
             raise ValueError(f"unknown flow instruction {instr!r}")
 
     def _later(self, att: Attempt, gen, delay: int) -> None:
-        self.kernel.schedule(delay, "sim", lambda: self._resume(att, gen))
+        self.kernel.schedule(delay, lambda: self._resume(att, gen))
 
     # -- flows -------------------------------------------------------------
 
@@ -532,7 +518,7 @@ class Simulation:
         yield ("bh", "AUTH_RESULT", "seaf", "ran")
         yield ("radio",)
         if not full:
-            self._capture_after_standard(device, record, k_seaf)
+            self._store_cache_entries(device, record, k_seaf, self.kernel.now)
             self._finalize(att, "success")
             self._after_success(att, device)
             return
@@ -555,16 +541,11 @@ class Simulation:
         yield ("radio",)
         device.session_slice = session.slice_id
         device.session_services = session.services
-        self._capture_after_standard(device, record, k_seaf)
+        self._store_cache_entries(device, record, k_seaf, self.kernel.now)
         self._finalize(att, "success")
         if att.request_type == "deferred":
             self._complete_probationary_upgrade(device, record, k_seaf)
         self._after_success(att, device)
-
-    def _capture_after_standard(self, device: UeDevice,
-                                record: SubscriberRecord, k_seaf: bytes) -> None:
-        if self.ric.decision_cache is not None:
-            self._store_cache_entries(device, record, k_seaf, self.kernel.now)
 
     def _after_success(self, att: Attempt, device: UeDevice) -> None:
         if device.profile.behavior in ("interactive", "roamer"):
@@ -572,18 +553,21 @@ class Simulation:
             if next_at <= self.cfg.horizon_ms:
                 self._schedule_attempt(device, "reauth", next_at)
 
-    def _express_flow(self, att: Attempt, device: UeDevice, entry, delay_ms: int):
-        if not isinstance(entry, DecisionCacheEntry):
-            self._finalize(att, "rejected")
-            return
+    def _local_challenge(self, device: UeDevice, entry: DecisionCacheEntry,
+                         delay_ms: int):
+        """Challenge the device against the cached K_SEAF; True iff it passes."""
         yield ("delay", delay_ms)
-        cid = device.identity.cached_id
         nonce = self.ric.next_nonce(self.kernel.stream("express-nonce"))
         yield ("radio",)  # challenge to the device
         mac = device.express_response(nonce)
         yield ("radio",)  # response back
-        expected = crypto.express_response_mac(entry.k_seaf, cid, nonce)
-        if mac is None or mac != expected:
+        expected = crypto.express_response_mac(entry.k_seaf,
+                                               device.identity.cached_id, nonce)
+        return mac is not None and mac == expected
+
+    def _express_flow(self, att: Attempt, device: UeDevice,
+                      entry: DecisionCacheEntry, delay_ms: int):
+        if not (yield from self._local_challenge(device, entry, delay_ms)):
             self._finalize(att, "rejected")
             return
         if not entry.live(self.kernel.now):
@@ -599,18 +583,9 @@ class Simulation:
         self._finalize(att, "success")
         self._after_success(att, device)
 
-    def _delegated_flow(self, att: Attempt, device: UeDevice, entry, delay_ms: int):
-        if not isinstance(entry, StateCacheEntry):
-            self._finalize(att, "rejected")
-            return
-        yield ("delay", delay_ms)
-        cid = device.identity.cached_id
-        nonce = self.ric.next_nonce(self.kernel.stream("express-nonce"))
-        yield ("radio",)
-        mac = device.express_response(nonce)
-        yield ("radio",)
-        expected = crypto.express_response_mac(entry.k_seaf, cid, nonce)
-        if mac is None or mac != expected:
+    def _delegated_flow(self, att: Attempt, device: UeDevice,
+                        entry: StateCacheEntry, delay_ms: int):
+        if not (yield from self._local_challenge(device, entry, delay_ms)):
             self._finalize(att, "rejected")
             return
         policy = entry.control_plane_state
@@ -623,7 +598,8 @@ class Simulation:
             return
         self._grant_local_session(device, device.profile.slice_id,
                                   policy.authorized_services)
-        self.ric.log_access(self.kernel.now, cid, "delegated-grant",
+        self.ric.log_access(self.kernel.now, device.identity.cached_id,
+                            "delegated-grant",
                             device.profile.slice_id)
         yield ("radio",)
         self._finalize(att, "success")
@@ -664,43 +640,36 @@ class Simulation:
 
     def _schedule_deferred_poll(self, device: UeDevice) -> None:
         interval = self.cfg.thresholds.probe_interval_ms
-        ue_id = device.profile.ue_id
-
-        def poll():
-            cid = device.identity.cached_id
-            session = self.ran_sessions.get(cid)
-            if session is None or not session.active:
-                return
-            if session.slice_id != self.cfg.probationary.slice_id:
-                return  # already upgraded
-            if ue_id not in self._deferred_inflight \
-                    and self.ric.assessor is not None:
-                health = self.ric.assessor.current(self.kernel.now)
-                if health.reachable:
-                    self._deferred_inflight.add(ue_id)
-                    self._launch_deferred(device)
-            if self.kernel.now + interval <= self.cfg.horizon_ms:
-                self.kernel.schedule(interval, "sim", poll)
-
         if self.kernel.now + interval <= self.cfg.horizon_ms:
-            self.kernel.schedule(interval, "sim", poll)
+            self.kernel.schedule(interval, lambda: self._poll_deferred(device))
 
-    def _launch_deferred(self, device: UeDevice) -> None:
-        att = self._start_attempt(device, "deferred", force_standard=True)
+    def _poll_deferred(self, device: UeDevice) -> None:
+        session = self.ran_sessions.get(device.identity.cached_id)
+        if session is None or not session.active:
+            return
+        if session.slice_id != self.cfg.probationary.slice_id:
+            return  # already upgraded
         ue_id = device.profile.ue_id
+        if ue_id not in self._deferred_inflight \
+                and self.ric.assessor is not None:
+            health = self.ric.assessor.current(self.kernel.now)
+            if health.reachable:
+                self._deferred_inflight.add(ue_id)
+                att = self._start_attempt(device, "deferred",
+                                          force_standard=True)
+                self._watch_deferred(att)
+        self._schedule_deferred_poll(device)
 
-        def watch():
-            if not att.finalized:
-                self.kernel.schedule(self.cfg.thresholds.probe_interval_ms,
-                                     "sim", watch)
-                return
-            self._deferred_inflight.discard(ue_id)
-            if att.outcome in ("mac-failure", "sync-failure",
-                               "subscriber-not-found"):
-                self._terminate_probationary(device, att.outcome)
-
-        self.kernel.schedule(self.cfg.thresholds.probe_interval_ms, "sim",
-                             watch)
+    def _watch_deferred(self, att: Attempt) -> None:
+        """Check every probe interval; settle the session once att ends."""
+        if not att.finalized:
+            self.kernel.schedule(self.cfg.thresholds.probe_interval_ms,
+                                 lambda: self._watch_deferred(att))
+            return
+        self._deferred_inflight.discard(att.device.profile.ue_id)
+        if att.outcome in ("mac-failure", "sync-failure",
+                           "subscriber-not-found"):
+            self._terminate_probationary(att.device, att.outcome)
 
     def _complete_probationary_upgrade(self, device: UeDevice,
                                        record: SubscriberRecord,
@@ -736,14 +705,3 @@ class Simulation:
         if self._edge_holds_kseaf:
             return ["k-seaf-at-edge"]
         return []
-
-    def audit_report(self) -> dict[str, list[str]]:
-        """Key levels resident per host class during the run."""
-        core_keys = ["K", "K_AUSF", "K_SEAF", "K_AMF", "K_NAS", "K_UP", "K_RRC"]
-        if self.colocated:
-            edge = list(core_keys)
-        elif self._edge_holds_kseaf:
-            edge = ["K_SEAF", "K_AMF", "K_NAS", "K_UP", "K_RRC"]
-        else:
-            edge = []
-        return {"edge": edge, "core": core_keys}

@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import randelsim
 from randelsim.cli import main
 from randelsim.harness import COMPARE_COLUMNS, compare_designs
 from randelsim.metrics import CSV_COLUMNS
-from randelsim.scenario import DESIGNS, load_preset
+from randelsim.scenario import DESIGNS, load_preset, preset_path
 
 
 def small_scenario(tmp_path, **overrides):
@@ -89,6 +96,33 @@ class TestExitCodes:
         # output path inside a missing directory fails after validation
         assert main(["run", "--scenario", str(scenario),
                      "--out", str(tmp_path / "no" / "dir" / "x.csv")]) == 1
+
+    @pytest.mark.parametrize("path, value", [
+        ("thresholds.probe_interval_ms", 0),
+        ("cache_capacity", 0),
+        ("xapp_delays_ms.routing", 5),
+        ("radio_latency_ms", -1),
+        ("core_hop_latency_ms", -1),
+        ("request_timeout_ms", 0),
+    ])
+    def test_bad_zta_value_is_2_and_named(self, tmp_path, path, value):
+        doc = json.loads(preset_path("zta").read_text())
+        *parents, key = path.split(".")
+        target = doc
+        for name in parents:
+            target = target.setdefault(name, {})
+        target[key] = value
+        scenario = tmp_path / "zta.json"
+        scenario.write_text(json.dumps(doc))
+        src = Path(randelsim.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        # a subprocess with a timeout, so a scenario that hangs the run fails
+        proc = subprocess.run(
+            [sys.executable, "-m", "randelsim.cli", "run",
+             "--scenario", str(scenario), "--out", str(tmp_path / "x.csv")],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 2, proc.stderr
+        assert path in proc.stderr
 
     def test_presets_list(self, capsys):
         assert main(["presets", "list"]) == 0

@@ -4,16 +4,16 @@ from randelsim.kernel import Kernel
 
 
 def make_recorder(kernel, log):
-    def handler(payload):
-        log.append((kernel.now, payload))
-    return handler
+    def record(payload):
+        return lambda: log.append((kernel.now, payload))
+    return record
 
 
 def test_zero_delay_fires_at_now():
     k = Kernel(seed=1)
     log = []
-    k.register("ue1", make_recorder(k, log))
-    eid = k.schedule(0, "ue1", "Tick")
+    record = make_recorder(k, log)
+    eid = k.schedule(0, record("Tick"))
     assert eid == 1
     k.run_until(0)
     assert log == [(0, "Tick")]
@@ -22,9 +22,9 @@ def test_zero_delay_fires_at_now():
 def test_same_fire_time_fires_in_schedule_order():
     k = Kernel(seed=1)
     log = []
-    k.register("e", make_recorder(k, log))
-    k.schedule(10, "e", "first")
-    k.schedule(10, "e", "second")
+    record = make_recorder(k, log)
+    k.schedule(10, record("first"))
+    k.schedule(10, record("second"))
     k.run_until(20)
     assert [p for _, p in log] == ["first", "second"]
 
@@ -32,10 +32,9 @@ def test_same_fire_time_fires_in_schedule_order():
 def test_schedule_relative_to_current_time():
     k = Kernel(seed=1)
     log = []
-    k.register("ran", make_recorder(k, log))
-    k.register("sim", lambda thunk: thunk())
+    record = make_recorder(k, log)
     # move the clock to 100, then schedule 50 out
-    k.schedule(100, "sim", lambda: k.schedule(50, "ran", "Msg"))
+    k.schedule(100, lambda: k.schedule(50, record("Msg")))
     k.run_until(200)
     assert log == [(150, "Msg")]
 
@@ -43,7 +42,7 @@ def test_schedule_relative_to_current_time():
 def test_negative_delay_rejected():
     k = Kernel(seed=1)
     with pytest.raises(ValueError):
-        k.schedule(-1, "x", None)
+        k.schedule(-1, lambda: None)
 
 
 def test_run_until_empty_queue_advances_clock():
@@ -54,11 +53,20 @@ def test_run_until_empty_queue_advances_clock():
 
 def test_run_until_before_pending_event():
     k = Kernel(seed=1)
-    k.register("e", lambda p: None)
-    k.schedule(10, "e", None)
+    k.schedule(10, lambda: None)
     assert k.run_until(5) == 0
     assert k.now == 5
     assert k.pending() == 1
+
+
+def test_discard_pending_drops_queued_events():
+    k = Kernel(seed=1)
+    fired = []
+    k.schedule(10, lambda: fired.append(k.now))
+    k.discard_pending()
+    assert k.pending() == 0
+    assert k.run_until(20) == 0
+    assert fired == []
 
 
 def test_self_rescheduling_chain():
@@ -66,12 +74,11 @@ def test_self_rescheduling_chain():
     k = Kernel(seed=1)
     fired = []
 
-    def handler(payload):
+    def tick():
         fired.append(k.now)
-        k.schedule(10, "e", None)
+        k.schedule(10, tick)
 
-    k.register("e", handler)
-    k.schedule(0, "e", None)
+    k.schedule(0, tick)
     assert k.run_until(25) == 3
     assert fired == [0, 10, 20]
 
@@ -79,9 +86,8 @@ def test_self_rescheduling_chain():
 def test_clock_never_retreats():
     k = Kernel(seed=1)
     seen = []
-    k.register("e", lambda p: seen.append(k.now))
     for d in (30, 10, 20):
-        k.schedule(d, "e", None)
+        k.schedule(d, lambda: seen.append(k.now))
     k.run_until(100)
     assert seen == sorted(seen)
     with pytest.raises(ValueError):

@@ -200,36 +200,36 @@ class TestRouteRegistration:
     def test_express_wins_even_with_backhaul_down(self):
         ric = make_ric(outage=True)
         ric.decision_cache.store(make_entry())
-        decision, _ = ric.route_registration(make_request(express=True), now=10)
+        decision, _, _ = ric.route_registration(make_request(express=True), now=10)
         assert decision is RoutingDecision.EXPRESS
 
     def test_unknown_device_healthy_backhaul_standard(self):
         ric = make_ric()
-        decision, _ = ric.route_registration(make_request(), now=10)
+        decision, _, _ = ric.route_registration(make_request(), now=10)
         assert decision is RoutingDecision.STANDARD
 
     def test_state_cache_during_outage_delegated(self):
         ric = make_ric(outage=True)
         ric.state_cache.store(make_entry(state=True))
-        decision, _ = ric.route_registration(make_request(), now=10)
+        decision, _, _ = ric.route_registration(make_request(), now=10)
         assert decision is RoutingDecision.DELEGATED
 
     def test_unknown_roamer_during_outage_probationary(self):
         ric = make_ric(outage=True)
-        decision, _ = ric.route_registration(make_request(home="net-far"),
-                                             now=10)
+        decision, _, _ = ric.route_registration(make_request(home="net-far"),
+                                                now=10)
         assert decision is RoutingDecision.PROBATIONARY
 
     def test_no_path_rejects(self):
         ric = make_ric(outage=True, probationary=False)
-        decision, reason = ric.route_registration(make_request(), now=10)
+        decision, reason, _ = ric.route_registration(make_request(), now=10)
         assert decision is RoutingDecision.REJECT
         assert reason == "no-path"
 
     def test_filter_drop_precedes_everything(self):
         ric = make_ric(dos=True)
         ric.dos_filter.unknown_limit = 0
-        decision, reason = ric.route_registration(make_request(), now=10)
+        decision, reason, _ = ric.route_registration(make_request(), now=10)
         assert (decision, reason) == (RoutingDecision.REJECT, "filtered")
 
     @given(st.binary(min_size=32, max_size=32), st.booleans(),
@@ -241,9 +241,11 @@ class TestRouteRegistration:
         ric = make_ric(outage=outage, state=with_state)
         request = make_request(cached_id=cid, express=express, home=home,
                                request_type=request_type)
-        decision, reason = ric.route_registration(request, now=5)
+        decision, reason, entry = ric.route_registration(request, now=5)
         assert isinstance(decision, RoutingDecision)
         assert isinstance(reason, str)
+        assert (entry is not None) == (decision in (RoutingDecision.EXPRESS,
+                                                    RoutingDecision.DELEGATED))
 
 
 class TestStructuralAudit:

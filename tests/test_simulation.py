@@ -1,4 +1,10 @@
-from randelsim.scenario import config_from_dict
+import gc
+import weakref
+
+import pytest
+
+from randelsim.scenario import (DESIGNS, config_from_dict, load_preset,
+                                preset_names)
 from randelsim.simulation import (BACKHAUL_MSGS_FULL_REG, BACKHAUL_MSGS_REAUTH,
                                   CORE_HOPS_FULL_REG, RADIO_HOPS_FULL_REG,
                                   Simulation)
@@ -281,3 +287,20 @@ class TestAccounting:
         report = Simulation(make_config()).run()
         assert report.aggregates == report.recompute_aggregates()
         assert report.aggregates["success_rate_by_cohort"]["solo"] == 1.0
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("design", DESIGNS)
+    @pytest.mark.parametrize("preset", preset_names())
+    def test_finished_run_freed_by_reference_counting(self, preset, design):
+        # no reference cycles: dropping the last reference frees the run
+        # without help from the cyclic collector
+        gc.disable()
+        try:
+            sim = Simulation(load_preset(preset).with_overrides(design=design))
+            sim.run()
+            ref = weakref.ref(sim)
+            del sim
+            assert ref() is None
+        finally:
+            gc.enable()
