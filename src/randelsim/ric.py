@@ -15,6 +15,16 @@ from .crypto import RootSecret
 
 XAPP_DELAY_MIN_MS = 10
 XAPP_DELAY_MAX_MS = 1000
+# processing delay of each xApp a design can register, in ms
+DEFAULT_XAPP_DELAYS = {
+    "routing": 10,
+    "decision-cache": 15,
+    "backhaul-assessor": 10,
+    "dos-filter": 10,
+    "state-auth": 20,
+    "session-establish": 20,
+    "probationary": 20,
+}
 
 
 class AlreadyRegistered(Exception):

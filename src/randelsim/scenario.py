@@ -1,21 +1,33 @@
-"""Scenario configuration: JSON loading, validation, bundled presets."""
+"""Scenario configuration: JSON loading, validation, bundled presets.
+
+A scenario document maps onto ``ScenarioConfig`` field by field: types come
+from the dataclass annotations, defaults from the dataclasses, and a field's
+``min`` metadata bounds every number it holds. Unknown keys, missing required
+fields and bad values raise ``ScenarioError`` naming the field's dotted path.
+Checks across fields run in ``ScenarioConfig.__post_init__``, so ``replace``
+and ``with_overrides`` make them too.
+"""
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field, replace
+import math
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from importlib import resources
 from pathlib import Path
 
 from .backhaul import BackhaulProfile
-from .ric import InvalidBudget, XAppDescriptor
-from .ue import ArrivalSpec
+from .core import SubscriptionPolicy
+from .ric import DEFAULT_XAPP_DELAYS, InvalidBudget, XAppDescriptor
+from .ue import BEHAVIORS, ArrivalSpec
 
 DESIGNS = ("baseline", "colocated", "decision-cache", "logic-replication")
 
 DEFAULT_MESSAGE_BYTES = 512
 DEFAULT_TTL_MS = 3_600_000  # Table-style 60:00 m
-DEFAULT_CACHE_CAPACITY = 10_000
 
 
 class ScenarioError(Exception):
@@ -28,13 +40,14 @@ class ScenarioError(Exception):
 
 @dataclass
 class Thresholds:
-    dos_window_ms: int = 1000
-    dos_unknown_per_window: int = 50
-    dos_retry_limit: int = 3
-    bandwidth_free_fraction: float = 0.1
-    probe_interval_ms: int = 1000
-    probe_timeout_ms: int = 2000
-    utilization_window_ms: int = 1000
+    dos_window_ms: int = field(default=1000, metadata={"min": 1})
+    dos_unknown_per_window: int = field(default=50, metadata={"min": 0})
+    dos_retry_limit: int = field(default=3, metadata={"min": 0})
+    bandwidth_free_fraction: float = field(default=0.1, metadata={"min": 0})
+    # the probe and the deferred-auth poll reschedule every interval
+    probe_interval_ms: int = field(default=1000, metadata={"min": 1})
+    probe_timeout_ms: int = field(default=2000, metadata={"min": 0})
+    utilization_window_ms: int = field(default=1000, metadata={"min": 1})
 
 
 @dataclass
@@ -47,14 +60,14 @@ class ProbationaryPolicy:
 @dataclass
 class UeCohortSpec:
     cohort: str
-    count: int
+    count: int = field(metadata={"min": 1})
     behavior: str
     arrival: ArrivalSpec
     express_eligible: bool = False
     home_network: str | None = None  # None means the serving network
     slice_id: str = "default"
     service: str | None = None
-    period_ms: int = 120_000
+    period_ms: int = field(default=120_000, metadata={"min": 1})
     allowed_slices: tuple[str, ...] = ("default",)
     authorized_services: tuple[str, ...] = ("data",)
     qos_class: str = "best-effort"
@@ -64,31 +77,75 @@ class UeCohortSpec:
 @dataclass
 class PrewarmSpec:
     cohort: str
-    ttl_ms: int = DEFAULT_TTL_MS
+    ttl_ms: int = field(default=DEFAULT_TTL_MS, metadata={"min": 1})
 
 
 @dataclass
 class ScenarioConfig:
     name: str
     seed: int
-    horizon_ms: int
+    horizon_ms: int = field(metadata={"min": 1})
     design: str
     backhaul: BackhaulProfile
     ues: list[UeCohortSpec]
     home_backhaul: BackhaulProfile | None = None
     serving_network: str = "net-serving"
-    radio_latency_ms: int = 2
-    core_hop_latency_ms: int = 1
-    message_bytes: dict[str, int] = field(default_factory=dict)
-    request_timeout_ms: int = 10_000
-    reauth_interval_ms: int = 60_000
-    cache_ttl_ms: int = DEFAULT_TTL_MS
-    cache_capacity: int = DEFAULT_CACHE_CAPACITY
+    radio_latency_ms: int = field(default=2, metadata={"min": 0})
+    core_hop_latency_ms: int = field(default=1, metadata={"min": 0})
+    message_bytes: dict[str, int] = field(default_factory=dict,
+                                          metadata={"min": 1})
+    request_timeout_ms: int = field(default=10_000, metadata={"min": 1})
+    # a successful re-authentication schedules the next one this far ahead
+    reauth_interval_ms: int = field(default=60_000, metadata={"min": 1})
+    cache_ttl_ms: int = field(default=DEFAULT_TTL_MS, metadata={"min": 1})
+    cache_capacity: int = field(default=10_000, metadata={"min": 1})
     thresholds: Thresholds = field(default_factory=Thresholds)
     dos_filter: bool = False
     probationary: ProbationaryPolicy = field(default_factory=ProbationaryPolicy)
     prewarm: list[PrewarmSpec] = field(default_factory=list)
     xapp_delays_ms: dict[str, int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.design not in DESIGNS:
+            raise ScenarioError("design", f"must be one of {DESIGNS}")
+        for name in ("backhaul", "home_backhaul"):
+            profile = getattr(self, name)
+            try:
+                if profile is not None:
+                    profile.validate()
+            except ValueError as exc:
+                raise _field_error(name, exc, BackhaulProfile) from exc
+        if not self.ues:
+            raise ScenarioError("ues", "at least one cohort is required")
+        cohorts = set()
+        for i, spec in enumerate(self.ues):
+            where = f"ues[{i}]"
+            if spec.cohort in cohorts:
+                raise ScenarioError(f"{where}.cohort",
+                                    f"duplicate cohort {spec.cohort!r}")
+            cohorts.add(spec.cohort)
+            if spec.behavior not in BEHAVIORS:
+                raise ScenarioError(f"{where}.behavior",
+                                    f"unknown behavior {spec.behavior!r}")
+            try:
+                SubscriptionPolicy(frozenset(spec.allowed_slices),
+                                   frozenset(spec.authorized_services),
+                                   spec.qos_class)
+            except ValueError as exc:
+                raise _field_error(where, exc, UeCohortSpec) from exc
+        for i, pw in enumerate(self.prewarm):
+            if pw.cohort not in cohorts:
+                raise ScenarioError(f"prewarm[{i}].cohort",
+                                    f"unknown cohort {pw.cohort!r}")
+        for xapp, delay in self.xapp_delays_ms.items():
+            where = f"xapp_delays_ms.{xapp}"
+            if xapp not in DEFAULT_XAPP_DELAYS:
+                raise ScenarioError(
+                    where, f"unknown xApp; one of {tuple(DEFAULT_XAPP_DELAYS)}")
+            try:
+                XAppDescriptor(xapp, frozenset(), delay)
+            except InvalidBudget as exc:
+                raise ScenarioError(where, str(exc)) from exc
 
     def message_size(self, msg_type: str) -> int:
         return self.message_bytes.get(msg_type,
@@ -97,197 +154,98 @@ class ScenarioConfig:
 
     def with_overrides(self, design: str | None = None,
                        seed: int | None = None) -> "ScenarioConfig":
-        cfg = self
-        if design is not None:
-            if design not in DESIGNS:
-                raise ScenarioError("design", f"must be one of {DESIGNS}")
-            cfg = replace(cfg, design=design)
-        if seed is not None:
-            cfg = replace(cfg, seed=seed)
-        return cfg
+        return replace(self, design=self.design if design is None else design,
+                       seed=self.seed if seed is None else seed)
 
 
-def _require(d: dict, key: str, typ, where: str):
-    if key not in d:
-        raise ScenarioError(f"{where}{key}", "missing required field")
-    value = d[key]
-    if typ is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ScenarioError(f"{where}{key}", "must be a number")
-        return float(value)
-    if typ is int and (isinstance(value, bool) or not isinstance(value, int)):
-        raise ScenarioError(f"{where}{key}", "must be an integer")
-    if typ is not float and not isinstance(value, typ):
-        raise ScenarioError(f"{where}{key}", f"must be of type {typ.__name__}")
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
+               str: "a string"}
+
+
+def _join(where: str, name: str) -> str:
+    return f"{where}.{name}" if where else name
+
+
+def _field_error(where: str, exc: ValueError, cls: type) -> ScenarioError:
+    """Name the field of ``cls`` that the message of ``exc`` starts with."""
+    name = str(exc).partition(" ")[0].rstrip(":")
+    if name in {f.name for f in fields(cls)}:
+        where = _join(where, name)
+    return ScenarioError(where or "scenario", str(exc))
+
+
+@functools.cache
+def _hints(cls: type) -> dict[str, typing.Any]:
+    return typing.get_type_hints(cls)
+
+
+def _load(tp, value, where: str, minimum: float | None = None):
+    """Check ``value`` against the type ``tp`` and build it.
+
+    ``where`` is the dotted path of ``value`` in the document; ``minimum``
+    bounds every number ``value`` holds.
+    """
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ScenarioError(where or "scenario", "must be an object")
+        names = {f.name for f in fields(tp)}
+        for key in value:
+            if key not in names:
+                raise ScenarioError(_join(where, key), "unknown field")
+        hints = _hints(tp)
+        kwargs = {}
+        for f in fields(tp):
+            if f.name in value:
+                kwargs[f.name] = _load(hints[f.name], value[f.name],
+                                       _join(where, f.name),
+                                       f.metadata.get("min"))
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ScenarioError(_join(where, f.name),
+                                    "missing required field")
+        try:
+            return tp(**kwargs)
+        except ValueError as exc:
+            raise _field_error(where, exc, tp) from exc
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (types.UnionType, typing.Union):  # X | None
+        return None if value is None else _load(args[0], value, where, minimum)
+    if origin in (list, tuple):
+        if not isinstance(value, list):
+            raise ScenarioError(where, "must be a list")
+        if origin is tuple and args[-1] is not Ellipsis:
+            if len(value) != len(args):
+                raise ScenarioError(where, f"must have {len(args)} items")
+            item_types = args
+        else:
+            item_types = args[:1] * len(value)
+        return origin(_load(t, v, f"{where}[{i}]", minimum)
+                      for i, (t, v) in enumerate(zip(item_types, value)))
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ScenarioError(where, "must be an object")
+        return {_load(args[0], k, where): _load(args[1], v, _join(where, k),
+                                                minimum)
+                for k, v in value.items()}
+    if tp is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    if type(value) is not tp or (tp is float and not math.isfinite(value)):
+        raise ScenarioError(where, f"must be {_TYPE_NAMES[tp]}")
+    if minimum is not None and value < minimum:
+        raise ScenarioError(where, f"must be >= {minimum}")
     return value
-
-
-def _at_least(value: int, fieldname: str, minimum: int) -> int:
-    if value < minimum:
-        raise ScenarioError(fieldname, f"must be >= {minimum}")
-    return value
-
-
-def _backhaul_from(d: dict, where: str) -> BackhaulProfile:
-    profile = BackhaulProfile(
-        base_latency_ms=_require(d, "base_latency_ms", int, where),
-        bandwidth_bps=_require(d, "bandwidth_bps", int, where),
-        jitter_ms=int(d.get("jitter_ms", 0)),
-        loss_probability=float(d.get("loss_probability", 0.0)),
-        outages=[tuple(iv) for iv in d.get("outages", [])],
-    )
-    try:
-        profile.validate()
-    except ValueError as exc:
-        raise ScenarioError(f"{where}{str(exc).split(':')[0]}", str(exc)) from exc
-    return profile
-
-
-def _arrival_from(d: dict, where: str) -> ArrivalSpec:
-    kind = _require(d, "kind", str, where)
-    try:
-        return ArrivalSpec(kind=kind,
-                           time_ms=int(d.get("time_ms", 0)),
-                           rate_per_s=float(d.get("rate_per_s", 0.0)),
-                           tail_rate_per_s=float(d.get("tail_rate_per_s", 0.0)))
-    except ValueError as exc:
-        raise ScenarioError(f"{where}kind", str(exc)) from exc
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
-    name = _require(doc, "name", str, "")
-    seed = _require(doc, "seed", int, "")
-    horizon = _require(doc, "horizon_ms", int, "")
-    if horizon <= 0:
-        raise ScenarioError("horizon_ms", "must be > 0")
-    design = _require(doc, "design", str, "")
-    if design not in DESIGNS:
-        raise ScenarioError("design", f"must be one of {DESIGNS}")
-    backhaul = _backhaul_from(_require(doc, "backhaul", dict, ""), "backhaul.")
-    home = None
-    if "home_backhaul" in doc:
-        home = _backhaul_from(doc["home_backhaul"], "home_backhaul.")
-
-    ues: list[UeCohortSpec] = []
-    raw_ues = _require(doc, "ues", list, "")
-    if not raw_ues:
-        raise ScenarioError("ues", "at least one cohort is required")
-    seen_cohorts = set()
-    for i, u in enumerate(raw_ues):
-        where = f"ues[{i}]."
-        cohort = _require(u, "cohort", str, where)
-        if cohort in seen_cohorts:
-            raise ScenarioError(f"{where}cohort", f"duplicate cohort {cohort!r}")
-        seen_cohorts.add(cohort)
-        count = _require(u, "count", int, where)
-        if count <= 0:
-            raise ScenarioError(f"{where}count", "must be > 0")
-        behavior = _require(u, "behavior", str, where)
-        spec = UeCohortSpec(
-            cohort=cohort,
-            count=count,
-            behavior=behavior,
-            arrival=_arrival_from(_require(u, "arrival", dict, where),
-                                  where + "arrival."),
-            express_eligible=bool(u.get("express_eligible", False)),
-            home_network=u.get("home_network"),
-            slice_id=u.get("slice_id", "default"),
-            service=u.get("service"),
-            period_ms=int(u.get("period_ms", 120_000)),
-            allowed_slices=tuple(u.get("allowed_slices", ["default"])),
-            authorized_services=tuple(u.get("authorized_services", ["data"])),
-            qos_class=u.get("qos_class", "best-effort"),
-            corrupt_key=bool(u.get("corrupt_key", False)),
-        )
-        if spec.behavior not in ("interactive", "periodic-sensor", "roamer",
-                                 "attacker-flood"):
-            raise ScenarioError(f"{where}behavior",
-                                f"unknown behavior {spec.behavior!r}")
-        if spec.behavior == "periodic-sensor" and spec.period_ms <= 0:
-            raise ScenarioError(f"{where}period_ms", "must be > 0")
-        ues.append(spec)
-
-    prewarm: list[PrewarmSpec] = []
-    for i, p in enumerate(doc.get("prewarm", [])):
-        where = f"prewarm[{i}]."
-        cohort = _require(p, "cohort", str, where)
-        if cohort not in seen_cohorts:
-            raise ScenarioError(f"{where}cohort", f"unknown cohort {cohort!r}")
-        ttl = int(p.get("ttl_ms", DEFAULT_TTL_MS))
-        if ttl <= 0:
-            raise ScenarioError(f"{where}ttl_ms", "ttl must be > 0")
-        prewarm.append(PrewarmSpec(cohort=cohort, ttl_ms=ttl))
-
-    th = doc.get("thresholds", {})
-    thresholds = Thresholds(
-        dos_window_ms=int(th.get("dos_window_ms", 1000)),
-        dos_unknown_per_window=int(th.get("dos_unknown_per_window", 50)),
-        dos_retry_limit=int(th.get("dos_retry_limit", 3)),
-        bandwidth_free_fraction=float(th.get("bandwidth_free_fraction", 0.1)),
-        # the probe and the deferred-auth poll reschedule every interval
-        probe_interval_ms=_at_least(int(th.get("probe_interval_ms", 1000)),
-                                    "thresholds.probe_interval_ms", 1),
-        probe_timeout_ms=int(th.get("probe_timeout_ms", 2000)),
-        utilization_window_ms=int(th.get("utilization_window_ms", 1000)),
-    )
-
-    prob = doc.get("probationary", {})
-    probationary = ProbationaryPolicy(
-        enabled=bool(prob.get("enabled", False)),
-        slice_id=prob.get("slice_id", "probation"),
-        services=tuple(prob.get("services", ["messaging"])),
-    )
-
-    cache_ttl = int(doc.get("cache_ttl_ms", DEFAULT_TTL_MS))
-    if cache_ttl <= 0:
-        raise ScenarioError("cache_ttl_ms", "must be > 0")
-
-    xapp_delays = dict(doc.get("xapp_delays_ms", {}))
-    for xapp, delay in xapp_delays.items():
-        try:
-            XAppDescriptor(xapp, frozenset(), delay)
-        except InvalidBudget as exc:
-            raise ScenarioError(f"xapp_delays_ms.{xapp}", str(exc)) from exc
-
-    return ScenarioConfig(
-        name=name,
-        seed=seed,
-        horizon_ms=horizon,
-        design=design,
-        backhaul=backhaul,
-        home_backhaul=home,
-        ues=ues,
-        serving_network=doc.get("serving_network", "net-serving"),
-        radio_latency_ms=_at_least(int(doc.get("radio_latency_ms", 2)),
-                                   "radio_latency_ms", 0),
-        core_hop_latency_ms=_at_least(int(doc.get("core_hop_latency_ms", 1)),
-                                      "core_hop_latency_ms", 0),
-        message_bytes=dict(doc.get("message_bytes", {})),
-        request_timeout_ms=_at_least(int(doc.get("request_timeout_ms", 10_000)),
-                                     "request_timeout_ms", 1),
-        reauth_interval_ms=int(doc.get("reauth_interval_ms", 60_000)),
-        cache_ttl_ms=cache_ttl,
-        cache_capacity=_at_least(
-            int(doc.get("cache_capacity", DEFAULT_CACHE_CAPACITY)),
-            "cache_capacity", 1),
-        thresholds=thresholds,
-        dos_filter=bool(doc.get("dos_filter", False)),
-        probationary=probationary,
-        prewarm=prewarm,
-        xapp_delays_ms=xapp_delays,
-    )
+    """Build a validated config from a parsed scenario document."""
+    return _load(ScenarioConfig, doc, "")
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    path = Path(path)
-    text = path.read_text()
     try:
-        doc = json.loads(text)
+        doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ScenarioError("<file>",
                             f"parse error at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ScenarioError("<file>", "top-level value must be an object")
     return config_from_dict(doc)
 
 

@@ -26,9 +26,9 @@ from .core import (AuthRequired, CoreNetwork, PolicyDenied, SessionRecord,
 from .crypto import MacFailure, RootSecret, SequenceState, SyncFailure, UsimState
 from .kernel import Kernel
 from .metrics import MetricsReport, OutcomeRow
-from .ric import (BackhaulAssessor, DecisionCacheEntry, DosFilter,
-                  RegistrationRequest, Ric, RoutingDecision, StateCacheEntry,
-                  TtlCache, XAppDescriptor)
+from .ric import (DEFAULT_XAPP_DELAYS, BackhaulAssessor, DecisionCacheEntry,
+                  DosFilter, RegistrationRequest, Ric, RoutingDecision,
+                  StateCacheEntry, TtlCache, XAppDescriptor)
 from .scenario import ScenarioConfig
 from .ue import UeDevice, UeProfile, cohort_arrival_times, sensor_attempt_times
 
@@ -42,16 +42,6 @@ HOME_MSGS_REFERRAL = 2
 
 RAN_ADDRESS_BASE = 16_000_000
 HOME_ADDRESS_BASE = 500_000
-
-DEFAULT_XAPP_DELAYS = {
-    "routing": 10,
-    "decision-cache": 15,
-    "backhaul-assessor": 10,
-    "dos-filter": 10,
-    "state-auth": 20,
-    "session-establish": 20,
-    "probationary": 20,
-}
 
 
 def subscriber_root_secret(seed: int, supi: str) -> RootSecret:

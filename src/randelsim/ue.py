@@ -9,6 +9,7 @@ from . import crypto
 from .crypto import KeyHierarchy, UeIdentity, UsimState
 
 BEHAVIORS = ("interactive", "periodic-sensor", "roamer", "attacker-flood")
+ARRIVAL_KINDS = ("fixed", "burst", "poisson", "flood")
 
 
 @dataclass(frozen=True)
@@ -25,15 +26,15 @@ class ArrivalSpec:
     """
 
     kind: str
-    time_ms: int = 0
-    rate_per_s: float = 0.0
-    tail_rate_per_s: float = 0.0
+    time_ms: int = field(default=0, metadata={"min": 0})
+    rate_per_s: float = field(default=0.0, metadata={"min": 0})
+    tail_rate_per_s: float = field(default=0.0, metadata={"min": 0})
 
     def __post_init__(self):
-        if self.kind not in ("fixed", "burst", "poisson", "flood"):
-            raise ValueError(f"unknown arrival kind {self.kind!r}")
+        if self.kind not in ARRIVAL_KINDS:
+            raise ValueError(f"kind {self.kind!r} is not one of {ARRIVAL_KINDS}")
         if self.kind in ("poisson", "flood") and self.rate_per_s <= 0:
-            raise ValueError("rate_per_s must be > 0")
+            raise ValueError(f"rate_per_s must be > 0 for {self.kind} arrivals")
 
 
 @dataclass

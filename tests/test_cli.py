@@ -11,6 +11,7 @@ from randelsim.cli import main
 from randelsim.harness import COMPARE_COLUMNS, compare_designs
 from randelsim.metrics import CSV_COLUMNS
 from randelsim.scenario import DESIGNS, load_preset, preset_path
+from test_scenario import set_path
 
 
 def small_scenario(tmp_path, **overrides):
@@ -104,14 +105,19 @@ class TestExitCodes:
         ("radio_latency_ms", -1),
         ("core_hop_latency_ms", -1),
         ("request_timeout_ms", 0),
+        ("thresholds.utilization_window_ms", 0),
+        ("reauth_interval_ms", 0),
+        ("reauth_interval_ms", -5),
+        ("ues[0].arrival.time_ms", -1),
+        ("message_bytes.default", -100_000),
+        ("ues[0].qos_class", "gold"),
+        ("ues[0].allowed_slices", []),
+        ("dos_fitler", True),
+        ("xapp_delays_ms.nonexistent", 20),
     ])
     def test_bad_zta_value_is_2_and_named(self, tmp_path, path, value):
         doc = json.loads(preset_path("zta").read_text())
-        *parents, key = path.split(".")
-        target = doc
-        for name in parents:
-            target = target.setdefault(name, {})
-        target[key] = value
+        set_path(doc, path, value)
         scenario = tmp_path / "zta.json"
         scenario.write_text(json.dumps(doc))
         src = Path(randelsim.__file__).resolve().parents[1]

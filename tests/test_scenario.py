@@ -1,9 +1,15 @@
+import copy
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randelsim.scenario import (DESIGNS, ScenarioError, config_from_dict,
-                                load_preset, load_scenario, preset_names)
+                                load_preset, load_scenario, preset_names,
+                                preset_path)
+from randelsim.simulation import Simulation
 
 
 def minimal_doc(**overrides) -> dict:
@@ -18,6 +24,17 @@ def minimal_doc(**overrides) -> dict:
     }
     doc.update(overrides)
     return doc
+
+
+def set_path(doc: dict, path: str, value) -> None:
+    """Set the value at a dotted path such as ``ues[0].arrival.kind``."""
+    *parents, key = [int(p[1:-1]) if p.startswith("[") else p
+                     for p in path.replace("[", ".[").split(".")]
+    target = doc
+    for name in parents:
+        target = target[name] if isinstance(name, int) \
+            else target.setdefault(name, {})
+    target[key] = value
 
 
 class TestConfigFromDict:
@@ -78,6 +95,63 @@ class TestConfigFromDict:
         assert (out.design, out.seed) == ("colocated", 99)
         assert cfg.design == "baseline"  # original untouched
 
+    @pytest.mark.parametrize("path, value, named", [
+        ("dos_fitler", True, "dos_fitler"),
+        ("thresholds.probe_intervl_ms", 500, "thresholds.probe_intervl_ms"),
+        ("ues[0].arrival.rate_per_s", "abc", "ues[0].arrival.rate_per_s"),
+        ("ues[0].arrival.kind", "flood", "ues[0].arrival.rate_per_s"),
+        ("ues[0].arrival.kind", "trickle", "ues[0].arrival.kind"),
+        ("ues[0].arrival.time_ms", -1, "ues[0].arrival.time_ms"),
+        ("backhaul.bandwidth_bps", 0, "backhaul.bandwidth_bps"),
+        ("backhaul.loss_probability", 1.5, "backhaul.loss_probability"),
+        ("backhaul.outages", [[100, 50]], "backhaul.outages"),
+        ("backhaul.outages", [[100]], "backhaul.outages[0]"),
+        ("home_backhaul.jitter_ms", -1, "home_backhaul.jitter_ms"),
+        ("cache_ttl_ms", 1.5, "cache_ttl_ms"),
+        ("cache_capacity", True, "cache_capacity"),
+        ("dos_filter", 1, "dos_filter"),
+        ("ues[0].allowed_slices", "default", "ues[0].allowed_slices"),
+        ("ues[0].allowed_slices", [], "ues[0].allowed_slices"),
+        ("ues[0].qos_class", "gold", "ues[0].qos_class"),
+        ("ues", [], "ues"),
+        ("message_bytes.default", -1, "message_bytes.default"),
+        ("xapp_delays_ms.nonexistent", 20, "xapp_delays_ms.nonexistent"),
+        ("thresholds.bandwidth_free_fraction", float("nan"),
+         "thresholds.bandwidth_free_fraction"),
+    ])
+    def test_bad_value_names_its_field(self, path, value, named):
+        doc = minimal_doc(home_backhaul={"base_latency_ms": 5,
+                                         "bandwidth_bps": 1000})
+        set_path(doc, path, value)
+        with pytest.raises(ScenarioError) as info:
+            config_from_dict(doc)
+        assert info.value.fieldname == named
+
+    def test_missing_nested_field_named(self):
+        doc = minimal_doc()
+        del doc["ues"][0]["arrival"]["kind"]
+        with pytest.raises(ScenarioError) as info:
+            config_from_dict(doc)
+        assert info.value.fieldname == "ues[0].arrival.kind"
+
+    def test_json_types_map_onto_fields(self):
+        doc = minimal_doc(probationary={"services": ["messaging", "voice"]})
+        doc["ues"][0]["arrival"] = {"kind": "poisson", "rate_per_s": 25}
+        doc["backhaul"]["outages"] = [[0, 100]]
+        cfg = config_from_dict(doc)
+        rate = cfg.ues[0].arrival.rate_per_s
+        assert (type(rate), rate) == (float, 25.0)
+        assert cfg.probationary.services == ("messaging", "voice")
+        assert cfg.backhaul.outages == [(0, 100)]
+        assert cfg.ues[0].home_network is None
+
+    def test_replace_runs_the_cross_field_checks(self):
+        cfg = config_from_dict(minimal_doc())
+        with pytest.raises(ScenarioError, match="design"):
+            replace(cfg, design="hybrid")
+        with pytest.raises(ScenarioError, match="design"):
+            cfg.with_overrides(design="hybrid")
+
     def test_message_size_fallback(self):
         cfg = config_from_dict(minimal_doc(message_bytes={"AUTH_CHALLENGE": 640}))
         assert cfg.message_size("AUTH_CHALLENGE") == 640
@@ -101,6 +175,44 @@ class TestLoadScenario:
         path.write_text("[1, 2, 3]")
         with pytest.raises(ScenarioError):
             load_scenario(path)
+
+
+def _nodes(value, path=()):
+    """Every (path, value) in a JSON document, the root first."""
+    yield path, value
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+PRESET_DOCS = {name: json.loads(preset_path(name).read_text())
+               for name in preset_names()}
+ODD_VALUES = [0, -1, 1, 2.5, "x", True, None, [], {}]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_mutation_is_rejected_or_constructs(data):
+    doc = copy.deepcopy(PRESET_DOCS[data.draw(st.sampled_from(
+        sorted(PRESET_DOCS)))])
+    nodes = list(_nodes(doc))
+    value = data.draw(st.sampled_from(ODD_VALUES))
+    if data.draw(st.booleans()):
+        path, _ = data.draw(st.sampled_from(nodes[1:]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        _, target = data.draw(st.sampled_from(
+            [n for n in nodes if isinstance(n[1], dict)]))
+        target["unknown_key"] = value
+    try:
+        cfg = config_from_dict(doc)
+    except ScenarioError:
+        return
+    Simulation(cfg)
 
 
 class TestPresets:
