@@ -31,6 +31,18 @@ class Kernel:
         heapq.heappush(self._heap, (self.now + int(delay), self._seq, action))
         return self._seq
 
+    def reserve(self) -> int:
+        """Take the next sequence number for a later ``schedule_at``."""
+        self._seq += 1
+        return self._seq
+
+    def schedule_at(self, when: int, seq: int,
+                    action: Callable[[], None]) -> None:
+        """Run ``action()`` at time ``when`` in the reserved slot ``seq``."""
+        if when < self.now:
+            raise ValueError("when must be >= current virtual time")
+        heapq.heappush(self._heap, (when, seq, action))
+
     def run_until(self, t_end: int) -> int:
         """Process every event with fire_time <= t_end; clock ends at t_end."""
         if t_end < self.now:

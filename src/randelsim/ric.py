@@ -202,25 +202,32 @@ class DosFilter:
         self.unknown_limit = unknown_limit
         self.retry_limit = retry_limit
         self._unknown_times: deque[int] = deque()
-        self._per_id: dict[bytes, deque[int]] = {}
+        # every check inside the window (``now`` never decreases), and how
+        # many of them each id made; an id is dropped with its last check
+        self._recent: deque[tuple[int, bytes]] = deque()
+        self._per_id: dict[bytes, int] = {}
         self.dropped = 0
-
-    def _evict(self, times: deque[int], now: int) -> None:
-        while times and times[0] <= now - self.window_ms:
-            times.popleft()
 
     def check(self, cached_id: bytes, known: bool, now: int) -> bool:
         """True to pass, False to drop. Drops consume zero backhaul."""
-        per_id = self._per_id.setdefault(cached_id, deque())
-        self._evict(per_id, now)
-        per_id.append(now)
-        if len(per_id) > self.retry_limit:
+        horizon = now - self.window_ms
+        recent, per_id = self._recent, self._per_id
+        while recent and recent[0][0] <= horizon:
+            old = recent.popleft()[1]
+            per_id[old] -= 1
+            if not per_id[old]:
+                del per_id[old]
+        recent.append((now, cached_id))
+        per_id[cached_id] = per_id.get(cached_id, 0) + 1
+        if per_id[cached_id] > self.retry_limit:
             self.dropped += 1
             return False
         if not known:
-            self._evict(self._unknown_times, now)
-            self._unknown_times.append(now)
-            if len(self._unknown_times) > self.unknown_limit:
+            unknown = self._unknown_times
+            while unknown and unknown[0] <= horizon:
+                unknown.popleft()
+            unknown.append(now)
+            if len(unknown) > self.unknown_limit:
                 self.dropped += 1
                 return False
         return True

@@ -108,6 +108,10 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.design not in DESIGNS:
             raise ScenarioError("design", f"must be one of {DESIGNS}")
+        if self.request_timeout_ms <= self.radio_latency_ms:
+            # otherwise every attempt times out before it reaches the RAN
+            raise ScenarioError("request_timeout_ms",
+                                "must be > radio_latency_ms")
         for name in ("backhaul", "home_backhaul"):
             profile = getattr(self, name)
             try:

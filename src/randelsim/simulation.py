@@ -1,13 +1,11 @@
 """Scenario execution: wires kernel, links, cores, RIC and UEs together.
 
-Registration attempts run as generator-based protocol flows. Each yield is a
-transport instruction handled by the conductor:
-
-    ("bh", msg, src, dst)    serving-core backhaul crossing (local when colocated)
-    ("home", msg, src, dst)  serving-core to home-network crossing
-    ("radio",)               one UE<->RAN radio hop
-    ("hop",)                 one core-internal NF hop
-    ("delay", ms)            xApp processing time
+Registration attempts run as generator-based protocol flows. Each yield is
+the delay in ms until the flow's next step: a radio hop, a core-internal hop,
+xApp processing, or a message carried between cores by ``_cross`` (which
+yields ``None`` when the link loses the message). ``_resume`` is the one
+place that decides what comes next: the step, if it lands before the
+attempt's deadline, or else the request timeout.
 
 Frozen flow constants (verified by the instrumented single-UE oracle trace):
 a full registration crosses the backhaul 6 times with 7 core-internal hops
@@ -54,6 +52,8 @@ class Attempt:
     device: UeDevice
     request_type: str  # registration | reauth | deferred
     start: int
+    deadline: int
+    timeout_seq: int  # the kernel slot the request timeout fires in
     path: str = "standard"
     outcome: str | None = None
     backhaul_msgs: int = 0
@@ -303,11 +303,12 @@ class Simulation:
 
     def _start_attempt(self, device: UeDevice, request_type: str,
                        force_standard: bool = False) -> Attempt:
-        att = Attempt(device=device, request_type=request_type,
-                      start=self.kernel.now)
+        now = self.kernel.now
+        # reserved now, the timeout keeps its place among same-time events
+        att = Attempt(device=device, request_type=request_type, start=now,
+                      deadline=now + self.cfg.request_timeout_ms,
+                      timeout_seq=self.kernel.reserve())
         self.attempts.append(att)
-        self.kernel.schedule(self.cfg.request_timeout_ms,
-                             lambda: self._finalize(att, "timeout"))
         # one radio hop carries the request from the device to the RAN
         self.kernel.schedule(self.cfg.radio_latency_ms,
                              lambda: self._route_attempt(att, force_standard))
@@ -387,58 +388,36 @@ class Simulation:
 
     # -- flow transport ----------------------------------------------------
 
-    def _resume(self, att: Attempt, gen, value=None) -> None:
-        if att.finalized:
-            gen.close()
-            return
-        if self.kernel.now - att.start >= self.cfg.request_timeout_ms:
-            self._finalize(att, "timeout")
-            gen.close()
-            return
+    def _resume(self, att: Attempt, gen) -> None:
         try:
-            instr = gen.send(value)
+            delay = next(gen)
         except StopIteration:
             return
-        self._transport(att, gen, instr)
+        kernel = self.kernel
+        if delay is not None and kernel.now + delay < att.deadline:
+            kernel.schedule(delay, lambda: self._resume(att, gen))
+        else:
+            # lost, or the next step would land on or after the deadline
+            kernel.schedule_at(att.deadline, att.timeout_seq,
+                               lambda: self._finalize(att, "timeout"))
 
-    def _transport(self, att: Attempt, gen, instr) -> None:
-        kind = instr[0]
+    def _cross(self, att: Attempt, msg: str, src: str, dst: str,
+               home: bool = False) -> int | None:
+        """Carry one message between cores; its delay, or None if lost."""
         now = self.kernel.now
-        if kind == "bh":
-            _, msg, src, dst = instr
-            size = self.cfg.message_size(msg)
-            if self.colocated:
-                self.serving.log(now, src, dst, msg, 0)
-                self._later(att, gen, self.cfg.core_hop_latency_ms)
-                return
-            att.backhaul_msgs += 1
-            att.backhaul_bytes += size
-            self.serving.log(now, src, dst, msg, size)
-            t = self.link.transmit(size, now)
-            if t is None:
-                return  # lost; the request timeout will finalize the attempt
-            self._later(att, gen, t - now)
-        elif kind == "home":
-            _, msg, src, dst = instr
-            size = self.cfg.message_size(msg)
+        if self.colocated and not home:
+            self.serving.log(now, src, dst, msg, 0)
+            return self.cfg.core_hop_latency_ms
+        size = self.cfg.message_size(msg)
+        if home:
             att.home_msgs += 1
             att.home_bytes += size
-            self.serving.log(now, src, dst, msg, size)
-            t = self.home_link.transmit(size, now)
-            if t is None:
-                return
-            self._later(att, gen, t - now)
-        elif kind == "radio":
-            self._later(att, gen, self.cfg.radio_latency_ms)
-        elif kind == "hop":
-            self._later(att, gen, self.cfg.core_hop_latency_ms)
-        elif kind == "delay":
-            self._later(att, gen, instr[1])
         else:
-            raise ValueError(f"unknown flow instruction {instr!r}")
-
-    def _later(self, att: Attempt, gen, delay: int) -> None:
-        self.kernel.schedule(delay, lambda: self._resume(att, gen))
+            att.backhaul_msgs += 1
+            att.backhaul_bytes += size
+        self.serving.log(now, src, dst, msg, size)
+        t = (self.home_link if home else self.link).transmit(size, now)
+        return None if t is None else t - now
 
     # -- flows -------------------------------------------------------------
 
@@ -447,57 +426,55 @@ class Simulation:
         sn = cfg.serving_network
         cid = device.identity.cached_id
         full = att.request_type != "reauth"
-        if routing_delay and cfg.design in ("decision-cache",
-                                            "logic-replication"):
-            yield ("delay", routing_delay)
-        yield ("bh", "REG_REQUEST", "ran", "amf")
+        radio, hop = cfg.radio_latency_ms, cfg.core_hop_latency_ms
+        if routing_delay:
+            yield routing_delay
+        yield self._cross(att, "REG_REQUEST", "ran", "amf")
         amf = self.serving.select_nf("AMF")
         att.held_nfs.append(amf)
-        yield ("hop",)  # AMF -> AUSF
+        yield hop  # AMF -> AUSF
         ausf = self.serving.select_nf("AUSF")
         att.held_nfs.append(ausf)
 
-        record = self.serving.find_by_suci(device.identity.suci)
+        record = self._find_record(device.profile)
         if record is None:
-            home = self.home_cores.get(device.profile.home_network)
-            record = (home.find_by_suci(device.identity.suci)
-                      if home is not None else None)
-            if record is None:
-                yield ("bh", "REG_REJECT", "amf", "ran")
-                yield ("radio",)
-                self._finalize(att, "subscriber-not-found")
-                return
-            yield ("home", "AV_REQUEST", "ausf", f"{record.home_network}-udm")
+            yield self._cross(att, "REG_REJECT", "amf", "ran")
+            yield radio
+            self._finalize(att, "subscriber-not-found")
+            return
+        if record.home_network == sn:
+            yield hop  # AUSF -> UDM
             av = crypto.generate_av(record.root_secret, record.sequence, sn,
                                     self.kernel.stream("av"))
-            yield ("home", "AV_RESPONSE", f"{record.home_network}-udm", "ausf")
+            yield hop  # UDM -> AUSF
         else:
-            yield ("hop",)  # AUSF -> UDM
+            udm = f"{record.home_network}-udm"
+            yield self._cross(att, "AV_REQUEST", "ausf", udm, home=True)
             av = crypto.generate_av(record.root_secret, record.sequence, sn,
                                     self.kernel.stream("av"))
-            yield ("hop",)  # UDM -> AUSF
+            yield self._cross(att, "AV_RESPONSE", udm, "ausf", home=True)
         k_seaf = crypto.derive_k_seaf(av.k_derived, sn)
-        yield ("hop",)  # AUSF -> SEAF
+        yield hop  # AUSF -> SEAF
 
-        yield ("bh", "AUTH_CHALLENGE", "seaf", "ran")
-        yield ("radio",)
+        yield self._cross(att, "AUTH_CHALLENGE", "seaf", "ran")
+        yield radio
         try:
             response = device.respond_to_challenge(av.rand, av.autn)
         except MacFailure:
-            yield ("radio",)
-            yield ("bh", "AUTH_FAILURE", "ran", "seaf")
+            yield radio
+            yield self._cross(att, "AUTH_FAILURE", "ran", "seaf")
             self._finalize(att, "mac-failure")
             return
         except SyncFailure:
-            yield ("radio",)
-            yield ("bh", "AUTH_FAILURE", "ran", "seaf")
+            yield radio
+            yield self._cross(att, "AUTH_FAILURE", "ran", "seaf")
             self._finalize(att, "sync-failure")
             return
-        yield ("radio",)
-        yield ("bh", "AUTH_RESPONSE", "ran", "seaf")
+        yield radio
+        yield self._cross(att, "AUTH_RESPONSE", "ran", "seaf")
         if response != av.xres:
-            yield ("bh", "AUTH_REJECT", "seaf", "ran")
-            yield ("radio",)
+            yield self._cross(att, "AUTH_REJECT", "seaf", "ran")
+            yield radio
             self._finalize(att, "mac-failure")
             return
 
@@ -505,30 +482,30 @@ class Simulation:
         self.serving.seaf_hierarchies[cid] = hierarchy
         device.derive_hierarchy_from_challenge(av.rand, sn)
 
-        yield ("bh", "AUTH_RESULT", "seaf", "ran")
-        yield ("radio",)
+        yield self._cross(att, "AUTH_RESULT", "seaf", "ran")
+        yield radio
         if not full:
             self._store_cache_entries(device, record, k_seaf, self.kernel.now)
             self._finalize(att, "success")
             self._after_success(att, device)
             return
 
-        yield ("radio",)
-        yield ("bh", "SESSION_REQUEST", "ran", "amf")
-        yield ("hop",)  # AMF -> SMF
-        yield ("hop",)  # SMF -> PCF (policy hop, no-op)
-        yield ("hop",)  # SMF -> UPF
+        yield radio
+        yield self._cross(att, "SESSION_REQUEST", "ran", "amf")
+        yield hop  # AMF -> SMF
+        yield hop  # SMF -> PCF (policy hop, no-op)
+        yield hop  # SMF -> UPF
         try:
             session = self.serving.establish_session(
                 cid, record.subscription, device.profile.slice_id,
                 device.profile.service, self.kernel.now)
         except (PolicyDenied, AuthRequired):
-            yield ("bh", "SESSION_REJECT", "smf", "ran")
-            yield ("radio",)
+            yield self._cross(att, "SESSION_REJECT", "smf", "ran")
+            yield radio
             self._finalize(att, "policy-denied")
             return
-        yield ("bh", "SESSION_ACCEPT", "smf", "ran")
-        yield ("radio",)
+        yield self._cross(att, "SESSION_ACCEPT", "smf", "ran")
+        yield radio
         device.session_slice = session.slice_id
         device.session_services = session.services
         self._store_cache_entries(device, record, k_seaf, self.kernel.now)
@@ -546,11 +523,11 @@ class Simulation:
     def _local_challenge(self, device: UeDevice, entry: DecisionCacheEntry,
                          delay_ms: int):
         """Challenge the device against the cached K_SEAF; True iff it passes."""
-        yield ("delay", delay_ms)
+        yield delay_ms
         nonce = self.ric.next_nonce(self.kernel.stream("express-nonce"))
-        yield ("radio",)  # challenge to the device
+        yield self.cfg.radio_latency_ms  # challenge to the device
         mac = device.express_response(nonce)
-        yield ("radio",)  # response back
+        yield self.cfg.radio_latency_ms  # response back
         expected = crypto.express_response_mac(entry.k_seaf,
                                                device.identity.cached_id, nonce)
         return mac is not None and mac == expected
@@ -569,7 +546,7 @@ class Simulation:
         self._grant_local_session(device, slice_id,
                                   device.session_services or
                                   frozenset({device.profile.service or "data"}))
-        yield ("radio",)  # grant
+        yield self.cfg.radio_latency_ms  # grant
         self._finalize(att, "success")
         self._after_success(att, device)
 
@@ -591,19 +568,19 @@ class Simulation:
         self.ric.log_access(self.kernel.now, device.identity.cached_id,
                             "delegated-grant",
                             device.profile.slice_id)
-        yield ("radio",)
+        yield self.cfg.radio_latency_ms
         self._finalize(att, "success")
         self._after_success(att, device)
 
     def _probationary_flow(self, att: Attempt, device: UeDevice, delay_ms: int):
-        yield ("delay", delay_ms)
+        yield delay_ms
         prob = self.cfg.probationary
         cid = device.identity.cached_id
         self._grant_local_session(device, prob.slice_id,
                                   frozenset(prob.services))
         self.ric.log_access(self.kernel.now, cid, "probationary-admit",
                             f"{prob.slice_id}:{','.join(sorted(prob.services))}")
-        yield ("radio",)
+        yield self.cfg.radio_latency_ms
         self._finalize(att, "success")
         self._schedule_deferred_poll(device)
 

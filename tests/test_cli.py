@@ -114,6 +114,7 @@ class TestExitCodes:
         ("ues[0].allowed_slices", []),
         ("dos_fitler", True),
         ("xapp_delays_ms.nonexistent", 20),
+        ("request_timeout_ms", 2),  # zta's radio latency
     ])
     def test_bad_zta_value_is_2_and_named(self, tmp_path, path, value):
         doc = json.loads(preset_path("zta").read_text())

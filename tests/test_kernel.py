@@ -45,6 +45,46 @@ def test_negative_delay_rejected():
         k.schedule(-1, lambda: None)
 
 
+def test_reserved_slot_runs_where_a_schedule_then_would_have():
+    # a schedule at reservation time and reserve + a later schedule_at
+    # must give the same order among actions due in the same ms
+    def trace(reserved):
+        k = Kernel(seed=1)
+        log = []
+        record = make_recorder(k, log)
+        k.schedule(10, record("earlier"))
+        if reserved:
+            seq = k.reserve()
+        else:
+            k.schedule(10, record("slot"))
+        k.schedule(10, record("later"))
+        if reserved:
+            # queued once the clock has moved, after "later" was scheduled
+            k.schedule(5, lambda: k.schedule_at(10, seq, record("slot")))
+        else:
+            k.schedule(5, lambda: None)
+        k.run_until(20)
+        return log
+
+    assert trace(reserved=True) == trace(reserved=False) == [
+        (10, "earlier"), (10, "slot"), (10, "later")]
+
+
+def test_reserve_takes_the_next_sequence_number():
+    k = Kernel(seed=1)
+    assert k.schedule(0, lambda: None) == 1
+    assert k.reserve() == 2
+    assert k.schedule(0, lambda: None) == 3
+
+
+def test_schedule_at_before_now_rejected():
+    k = Kernel(seed=1)
+    k.run_until(100)
+    seq = k.reserve()
+    with pytest.raises(ValueError):
+        k.schedule_at(99, seq, lambda: None)
+
+
 def test_run_until_empty_queue_advances_clock():
     k = Kernel(seed=1)
     assert k.run_until(500) == 0

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -171,6 +172,22 @@ class TestDosFilter:
         assert f.check(cid, known=True, now=0) is True
         assert f.check(cid, known=True, now=500) is False
         assert f.check(cid, known=True, now=1500) is True
+
+    def test_state_stays_bounded_over_many_identities(self):
+        # 10,000 distinct ids, one check each, more than a window apart:
+        # what the filter keeps must not grow with the ids it has seen
+        f = DosFilter(window_ms=1000, unknown_limit=50, retry_limit=3)
+        ids = [i.to_bytes(32, "big") for i in range(10_000)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            passed = sum(f.check(cid, known=False, now=i * 1001)
+                         for i, cid in enumerate(ids))
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert passed == len(ids)
+        assert retained < 64 * 1024
 
 
 def make_ric(outage=False, decision=True, state=True, dos=False,
