@@ -1,4 +1,4 @@
-"""RAN-side intelligence: caches, xApp registry, link assessment, routing."""
+"""RAN-side intelligence: deployed xApps, cache, link assessment, routing."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import dataclasses
 import random
 import typing
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -15,7 +16,7 @@ from .crypto import RootSecret
 
 XAPP_DELAY_MIN_MS = 10
 XAPP_DELAY_MAX_MS = 1000
-# processing delay of each xApp a design can register, in ms
+# processing delay of each xApp a design can deploy, in ms
 DEFAULT_XAPP_DELAYS = {
     "routing": 10,
     "decision-cache": 15,
@@ -25,10 +26,17 @@ DEFAULT_XAPP_DELAYS = {
     "session-establish": 20,
     "probationary": 20,
 }
-
-
-class AlreadyRegistered(Exception):
-    pass
+# the xApps each design deploys at the RAN; "dos-filter" and "probationary"
+# run only where the scenario turns them on
+DESIGN_XAPPS = {
+    "baseline": (),
+    "colocated": (),
+    "decision-cache": ("routing", "decision-cache", "backhaul-assessor",
+                       "dos-filter"),
+    "logic-replication": ("routing", "decision-cache", "backhaul-assessor",
+                          "dos-filter", "state-auth", "session-establish",
+                          "probationary"),
+}
 
 
 class InvalidBudget(Exception):
@@ -124,15 +132,16 @@ class TtlCache:
     def dump(self, now: int) -> list[str]:
         lines = []
         for e in self._entries.values():
+            kind = "state" if isinstance(e, StateCacheEntry) else "decision"
             remaining = max(0, e.created_at + e.ttl - now)
-            lines.append(f"{e.cached_id.hex()} {e.k_seaf[:4].hex()} {remaining}")
+            lines.append(f"{kind} {e.cached_id.hex()} {e.k_seaf[:4].hex()} "
+                         f"{remaining}")
         return lines
 
 
 @dataclass(frozen=True)
 class XAppDescriptor:
     name: str
-    handles: frozenset[str]
     processing_delay: int
 
     def __post_init__(self):
@@ -246,19 +255,18 @@ class RegistrationRequest:
 
 
 class Ric:
-    """RIC dispatcher: xApp registry, both caches, filter, routing, audit log."""
+    """RIC dispatcher: deployed xApps, one cache, filter, routing, audit log."""
 
-    def __init__(self, assessor: BackhaulAssessor | None,
-                 decision_cache: TtlCache | None, state_cache: TtlCache | None,
-                 dos_filter: DosFilter | None, probationary_enabled: bool,
+    def __init__(self, xapps: Iterable[XAppDescriptor],
+                 assessor: BackhaulAssessor | None = None,
+                 cache: TtlCache | None = None,
+                 dos_filter: DosFilter | None = None,
                  bandwidth_free_fraction: float = 0.1):
+        self.xapps = {x.name: x for x in xapps}
         self.assessor = assessor
-        self.decision_cache = decision_cache
-        self.state_cache = state_cache
+        self.cache = cache
         self.dos_filter = dos_filter
-        self.probationary_enabled = probationary_enabled
         self.bandwidth_free_fraction = bandwidth_free_fraction
-        self.xapps: dict[str, XAppDescriptor] = {}
         self.known_ids: set[bytes] = set()
         self.blacklist: set[bytes] = set()
         self.access_log: list[tuple[int, str, str, str]] = []  # (t, id hex8, event, detail)
@@ -266,24 +274,10 @@ class Ric:
 
     # -- xApps -------------------------------------------------------------
 
-    def register_xapp(self, descriptor: XAppDescriptor) -> str:
-        if descriptor.name in self.xapps:
-            raise AlreadyRegistered(descriptor.name)
-        self.xapps[descriptor.name] = descriptor
-        return descriptor.name
-
     def xapp_delay(self, name: str) -> int:
         return self.xapps[name].processing_delay if name in self.xapps else 0
 
     # -- routing -----------------------------------------------------------
-
-    def is_known(self, cached_id: bytes) -> bool:
-        if cached_id in self.known_ids:
-            return True
-        for cache in (self.decision_cache, self.state_cache):
-            if cache is not None and cache.contains(cached_id):
-                return True
-        return False
 
     def route_registration(
             self, request: RegistrationRequest, now: int
@@ -291,17 +285,19 @@ class Ric:
         """Total decision procedure: (decision, reason tag, cache entry).
 
         The entry is the live cache entry an EXPRESS or DELEGATED decision
-        was made on, and None for every other decision.
+        was made on, and None for every other decision. The cache is looked
+        up at most once, and only where one of those two could follow.
         """
-        known = self.is_known(request.cached_id)
-        if request.cached_id in self.blacklist:
+        cid = request.cached_id
+        known = cid in self.known_ids
+        if cid in self.blacklist:
             return RoutingDecision.REJECT, "blacklisted", None
         if self.dos_filter is not None:
-            if not self.dos_filter.check(request.cached_id, known, now):
+            if not self.dos_filter.check(cid, known, now):
                 return RoutingDecision.REJECT, "filtered", None
-        if request.express_eligible and self.decision_cache is not None:
-            entry = self.decision_cache.lookup(request.cached_id,
-                                               request.request_type, now)
+        entry = None  # not looked up yet; a lookup never returns None
+        if request.express_eligible and self.cache is not None:
+            entry = self.cache.lookup(cid, request.request_type, now)
             if isinstance(entry, DecisionCacheEntry):
                 return RoutingDecision.EXPRESS, "decision-cache-hit", entry
         if self.assessor is not None:
@@ -310,14 +306,13 @@ class Ric:
                          * self.assessor.link.profile.bandwidth_bps)
             if health.reachable and health.available_bandwidth >= threshold:
                 return RoutingDecision.STANDARD, "backhaul-healthy", None
-        if self.state_cache is not None:
-            entry = self.state_cache.lookup(request.cached_id,
-                                            request.request_type, now)
-            if isinstance(entry, StateCacheEntry):
-                return RoutingDecision.DELEGATED, "state-cache-hit", entry
+        if entry is None and "state-auth" in self.xapps:
+            entry = self.cache.lookup(cid, request.request_type, now)
+        if isinstance(entry, StateCacheEntry):
+            return RoutingDecision.DELEGATED, "state-cache-hit", entry
         unknown_roamer = (not known
                           and request.home_network != request.serving_network)
-        if self.probationary_enabled and unknown_roamer:
+        if "probationary" in self.xapps and unknown_roamer:
             return RoutingDecision.PROBATIONARY, "unknown-roamer", None
         return RoutingDecision.REJECT, "no-path", None
 
@@ -333,12 +328,7 @@ class Ric:
         self.access_log.append((t, cached_id.hex()[:8], event, detail))
 
     def dump_caches(self, now: int) -> list[str]:
-        lines = []
-        for name, cache in (("decision", self.decision_cache),
-                            ("state", self.state_cache)):
-            if cache is not None:
-                lines.extend(f"{name} {line}" for line in cache.dump(now))
-        return lines
+        return self.cache.dump(now) if self.cache is not None else []
 
 
 def audit_type_for_root_secret(tp: type, _seen: set | None = None) -> list[str]:

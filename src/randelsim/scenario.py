@@ -28,6 +28,8 @@ DESIGNS = ("baseline", "colocated", "decision-cache", "logic-replication")
 
 DEFAULT_MESSAGE_BYTES = 512
 DEFAULT_TTL_MS = 3_600_000  # Table-style 60:00 m
+# the largest integer JSON readers keep exact (RFC 8259, section 6)
+MAX_JSON_INT = 2**53 - 1
 
 
 class ScenarioError(Exception):
@@ -147,7 +149,7 @@ class ScenarioConfig:
                 raise ScenarioError(
                     where, f"unknown xApp; one of {tuple(DEFAULT_XAPP_DELAYS)}")
             try:
-                XAppDescriptor(xapp, frozenset(), delay)
+                XAppDescriptor(xapp, delay)
             except InvalidBudget as exc:
                 raise ScenarioError(where, str(exc)) from exc
 
@@ -230,6 +232,8 @@ def _load(tp, value, where: str, minimum: float | None = None):
         return {_load(args[0], k, where): _load(args[1], v, _join(where, k),
                                                 minimum)
                 for k, v in value.items()}
+    if tp in (int, float) and type(value) is int and abs(value) > MAX_JSON_INT:
+        raise ScenarioError(where, f"must be within +-{MAX_JSON_INT}")
     if tp is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if type(value) is not tp or (tp is float and not math.isfinite(value)):

@@ -24,9 +24,9 @@ from .core import (AuthRequired, CoreNetwork, PolicyDenied, SessionRecord,
 from .crypto import MacFailure, RootSecret, SequenceState, SyncFailure, UsimState
 from .kernel import Kernel
 from .metrics import MetricsReport, OutcomeRow
-from .ric import (DEFAULT_XAPP_DELAYS, BackhaulAssessor, DecisionCacheEntry,
-                  DosFilter, RegistrationRequest, Ric, RoutingDecision,
-                  StateCacheEntry, TtlCache, XAppDescriptor)
+from .ric import (DEFAULT_XAPP_DELAYS, DESIGN_XAPPS, BackhaulAssessor,
+                  DecisionCacheEntry, DosFilter, RegistrationRequest, Ric,
+                  RoutingDecision, StateCacheEntry, TtlCache, XAppDescriptor)
 from .scenario import ScenarioConfig
 from .ue import UeDevice, UeProfile, cohort_arrival_times, sensor_attempt_times
 
@@ -97,59 +97,30 @@ class Simulation:
 
     # -- construction ------------------------------------------------------
 
-    def _xapp_delay(self, name: str) -> int:
-        return self.cfg.xapp_delays_ms.get(name, DEFAULT_XAPP_DELAYS[name])
-
     def _build_ric(self) -> Ric:
-        design = self.cfg.design
-        th = self.cfg.thresholds
-        caches = design in ("decision-cache", "logic-replication")
-        assessor = None
-        decision_cache = None
-        state_cache = None
-        dos = None
-        probationary = False
-        if caches:
+        cfg, th = self.cfg, self.cfg.thresholds
+        turned_on = {"dos-filter": cfg.dos_filter,
+                     "probationary": cfg.probationary.enabled}
+        xapps = [XAppDescriptor(name, cfg.xapp_delays_ms.get(
+                     name, DEFAULT_XAPP_DELAYS[name]))
+                 for name in DESIGN_XAPPS[cfg.design]
+                 if turned_on.get(name, True)]
+        deployed = {x.name for x in xapps}
+        assessor = cache = dos = None
+        if "backhaul-assessor" in deployed:
             assessor = BackhaulAssessor(
                 self.link, self.kernel.stream("assessor"),
                 probe_interval_ms=th.probe_interval_ms,
                 probe_timeout_ms=th.probe_timeout_ms,
                 utilization_window_ms=th.utilization_window_ms)
-            decision_cache = TtlCache(self.cfg.cache_capacity)
-            if self.cfg.dos_filter:
-                dos = DosFilter(window_ms=th.dos_window_ms,
-                                unknown_limit=th.dos_unknown_per_window,
-                                retry_limit=th.dos_retry_limit)
-            if design == "logic-replication":
-                state_cache = TtlCache(self.cfg.cache_capacity)
-                probationary = self.cfg.probationary.enabled
-        ric = Ric(assessor=assessor, decision_cache=decision_cache,
-                  state_cache=state_cache, dos_filter=dos,
-                  probationary_enabled=probationary,
-                  bandwidth_free_fraction=th.bandwidth_free_fraction)
-        if caches:
-            handled = frozenset({"registration", "reauth"})
-            ric.register_xapp(XAppDescriptor("routing", handled,
-                                             self._xapp_delay("routing")))
-            ric.register_xapp(XAppDescriptor("decision-cache", handled,
-                                             self._xapp_delay("decision-cache")))
-            ric.register_xapp(XAppDescriptor("backhaul-assessor",
-                                             frozenset({"probe"}),
-                                             self._xapp_delay("backhaul-assessor")))
-            if dos is not None:
-                ric.register_xapp(XAppDescriptor("dos-filter", handled,
-                                                 self._xapp_delay("dos-filter")))
-            if design == "logic-replication":
-                ric.register_xapp(XAppDescriptor("state-auth", handled,
-                                                 self._xapp_delay("state-auth")))
-                ric.register_xapp(XAppDescriptor(
-                    "session-establish", handled,
-                    self._xapp_delay("session-establish")))
-                if probationary:
-                    ric.register_xapp(XAppDescriptor(
-                        "probationary", handled,
-                        self._xapp_delay("probationary")))
-        return ric
+        if "decision-cache" in deployed:
+            cache = TtlCache(cfg.cache_capacity)
+        if "dos-filter" in deployed:
+            dos = DosFilter(window_ms=th.dos_window_ms,
+                            unknown_limit=th.dos_unknown_per_window,
+                            retry_limit=th.dos_retry_limit)
+        return Ric(xapps, assessor=assessor, cache=cache, dos_filter=dos,
+                   bandwidth_free_fraction=th.bandwidth_free_fraction)
 
     def _home_core(self, network_id: str) -> CoreNetwork:
         if network_id not in self.home_cores:
@@ -202,7 +173,7 @@ class Simulation:
         return cp, dp
 
     def _prewarm_caches(self) -> None:
-        if self.ric.decision_cache is None:
+        if self.ric.cache is None:
             return
         sn = self.cfg.serving_network
         for pw in self.cfg.prewarm:
@@ -230,23 +201,26 @@ class Simulation:
 
     def _store_cache_entries(self, device: UeDevice, record: SubscriberRecord,
                              k_seaf: bytes, now: int, ttl: int | None = None) -> None:
-        if self.ric.decision_cache is None:
+        if self.ric.cache is None:
             return
         ttl = ttl if ttl is not None else self.cfg.cache_ttl_ms
         cid = device.identity.cached_id
         cp, dp = self._decision_maps(device.profile.slice_id,
                                      record.subscription.qos_class)
-        self.ric.decision_cache.store(DecisionCacheEntry(
-            cached_id=cid, k_seaf=k_seaf, control_plane_decisions=cp,
-            data_plane_decisions=dp, ttl=ttl, created_at=now))
-        if self.ric.state_cache is not None:
-            self.ric.state_cache.store(StateCacheEntry(
-                cached_id=cid, k_seaf=k_seaf, control_plane_decisions=cp,
-                data_plane_decisions=dp, ttl=ttl, created_at=now,
-                control_plane_state=record.subscription,
+        decisions = dict(cached_id=cid, k_seaf=k_seaf,
+                         control_plane_decisions=cp, data_plane_decisions=dp,
+                         ttl=ttl, created_at=now)
+        if "state-auth" in self.ric.xapps:
+            # one entry per device: replicated logic authenticates from a
+            # snapshot of core state kept beside the cached decisions
+            entry = StateCacheEntry(
+                **decisions, control_plane_state=record.subscription,
                 data_plane_state={"resource-allocation": "standard",
                                   "qos": record.subscription.qos_class},
-                snapshot_at=now))
+                snapshot_at=now)
+        else:
+            entry = DecisionCacheEntry(**decisions)
+        self.ric.cache.store(entry)
         self.ric.known_ids.add(cid)
         self._edge_holds_kseaf = True
 
@@ -316,7 +290,7 @@ class Simulation:
 
     def _route_attempt(self, att: Attempt, force_standard: bool) -> None:
         device = att.device
-        if force_standard or self.cfg.design in ("baseline", "colocated"):
+        if force_standard or "routing" not in self.ric.xapps:
             decision, reason, entry = RoutingDecision.STANDARD, "forced", None
         else:
             request = RegistrationRequest(

@@ -99,7 +99,10 @@ class UeDevice:
 
 def cohort_arrival_times(spec: ArrivalSpec, count: int, horizon_ms: int,
                          rng: random.Random) -> list[int]:
-    """One arrival time per device in the cohort, clipped to the horizon."""
+    """One arrival time per device in the cohort, clipped to the horizon.
+
+    Offsets are clamped before ``int()``: a tiny rate makes them infinite.
+    """
     times: list[int] = []
     if spec.kind == "fixed":
         times = [spec.time_ms] * count
@@ -112,14 +115,15 @@ def cohort_arrival_times(spec: ArrivalSpec, count: int, horizon_ms: int,
             times = times[: count - tail]
             for _ in range(tail):
                 t += rng.expovariate(spec.tail_rate_per_s) * 1000
-                times.append(int(t))
+                times.append(int(min(t, horizon_ms)))
     elif spec.kind == "poisson":
         t = float(spec.time_ms)
         for _ in range(count):
             t += rng.expovariate(spec.rate_per_s) * 1000
-            times.append(int(t))
+            times.append(int(min(t, horizon_ms)))
     elif spec.kind == "flood":
-        times = [spec.time_ms + int(i * 1000 / spec.rate_per_s)
+        times = [spec.time_ms
+                 + int(min(i * 1000 / spec.rate_per_s, horizon_ms))
                  for i in range(count)]
     return [min(t, horizon_ms - 1) for t in times]
 

@@ -223,7 +223,7 @@ def test_08_probationary_lifecycle():
         # after the deferred auth the session carries the real subscription
         assert device.session_slice == "default"
         assert device.session_services == frozenset({"data", "voice"})
-        assert sim.ric.state_cache.contains(cid)
+        assert sim.ric.cache.contains(cid)
 
 
 def test_09_transparency():
@@ -270,7 +270,7 @@ def test_11_xapp_budget():
                 assert 10 <= xapp.processing_delay <= 1000
         for bad in (5, 9, 1001, 1500):
             with pytest.raises(InvalidBudget):
-                XAppDescriptor("bad", frozenset(), bad)
+                XAppDescriptor("bad", bad)
         cfg = load_preset("ntn")
         cfg.xapp_delays_ms["routing"] = 5
         with pytest.raises(InvalidBudget):

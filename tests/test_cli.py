@@ -115,6 +115,12 @@ class TestExitCodes:
         ("dos_fitler", True),
         ("xapp_delays_ms.nonexistent", 20),
         ("request_timeout_ms", 2),  # zta's radio latency
+        pytest.param("backhaul.bandwidth_bps", 10**400,
+                     id="backhaul.bandwidth_bps-10**400"),
+        pytest.param("backhaul.jitter_ms", 10**400,
+                     id="backhaul.jitter_ms-10**400"),
+        pytest.param("message_bytes.default", 10**400,
+                     id="message_bytes.default-10**400"),
     ])
     def test_bad_zta_value_is_2_and_named(self, tmp_path, path, value):
         doc = json.loads(preset_path("zta").read_text())

@@ -6,11 +6,10 @@ from hypothesis import given, strategies as st
 
 from randelsim.backhaul import BackhaulLink, BackhaulProfile
 from randelsim.core import SubscriptionPolicy
-from randelsim.ric import (AlreadyRegistered, BackhaulAssessor, DecisionCacheEntry,
-                           DosFilter, EXPIRED, InvalidBudget, MISS,
-                           RegistrationRequest, Ric, RoutingDecision,
-                           StateCacheEntry, TtlCache, XAppDescriptor,
-                           audit_type_for_root_secret)
+from randelsim.ric import (BackhaulAssessor, DecisionCacheEntry, DosFilter,
+                           EXPIRED, InvalidBudget, MISS, RegistrationRequest,
+                           Ric, RoutingDecision, StateCacheEntry, TtlCache,
+                           XAppDescriptor, audit_type_for_root_secret)
 
 HOUR_TTL = 3_600_000  # the canonical 60:00 m example
 
@@ -37,25 +36,19 @@ def make_entry(cached_id=b"\x01" * 32, ttl=HOUR_TTL, created_at=0,
 
 class TestXAppBudget:
     def test_in_budget_accepted(self):
-        XAppDescriptor("a", frozenset({"registration"}), 50)
+        XAppDescriptor("a", 50)
 
     def test_below_lower_bound_rejected(self):
         with pytest.raises(InvalidBudget):
-            XAppDescriptor("a", frozenset(), 5)
+            XAppDescriptor("a", 5)
 
     def test_above_upper_bound_rejected(self):
         with pytest.raises(InvalidBudget):
-            XAppDescriptor("a", frozenset(), 1500)
+            XAppDescriptor("a", 1500)
 
     def test_bounds_inclusive(self):
-        XAppDescriptor("lo", frozenset(), 10)
-        XAppDescriptor("hi", frozenset(), 1000)
-
-    def test_duplicate_name_rejected(self):
-        ric = Ric(None, None, None, None, False)
-        ric.register_xapp(XAppDescriptor("a", frozenset(), 50))
-        with pytest.raises(AlreadyRegistered):
-            ric.register_xapp(XAppDescriptor("a", frozenset(), 60))
+        XAppDescriptor("lo", 10)
+        XAppDescriptor("hi", 1000)
 
 
 class TestTtlCache:
@@ -190,18 +183,16 @@ class TestDosFilter:
         assert retained < 64 * 1024
 
 
-def make_ric(outage=False, decision=True, state=True, dos=False,
-             probationary=True) -> Ric:
+def make_ric(outage=False, dos=False, probationary=True) -> Ric:
     outages = [(0, 1_000_000)] if outage else []
     profile = BackhaulProfile(base_latency_ms=20, bandwidth_bps=1_000_000,
                               outages=outages)
     link = BackhaulLink(profile, random.Random(0))
     assessor = BackhaulAssessor(link, random.Random(1))
-    return Ric(assessor=assessor,
-               decision_cache=TtlCache() if decision else None,
-               state_cache=TtlCache() if state else None,
-               dos_filter=DosFilter() if dos else None,
-               probationary_enabled=probationary)
+    names = ["state-auth"] + (["probationary"] if probationary else [])
+    xapps = [XAppDescriptor(name, 20) for name in names]
+    return Ric(xapps, assessor=assessor, cache=TtlCache(),
+               dos_filter=DosFilter() if dos else None)
 
 
 def make_request(cached_id=b"\x01" * 32, express=False, home="net-serving",
@@ -216,7 +207,7 @@ def make_request(cached_id=b"\x01" * 32, express=False, home="net-serving",
 class TestRouteRegistration:
     def test_express_wins_even_with_backhaul_down(self):
         ric = make_ric(outage=True)
-        ric.decision_cache.store(make_entry())
+        ric.cache.store(make_entry())
         decision, _, _ = ric.route_registration(make_request(express=True), now=10)
         assert decision is RoutingDecision.EXPRESS
 
@@ -227,9 +218,24 @@ class TestRouteRegistration:
 
     def test_state_cache_during_outage_delegated(self):
         ric = make_ric(outage=True)
-        ric.state_cache.store(make_entry(state=True))
+        ric.cache.store(make_entry(state=True))
         decision, _, _ = ric.route_registration(make_request(), now=10)
         assert decision is RoutingDecision.DELEGATED
+
+    def test_one_state_entry_serves_express_and_delegated(self):
+        ric = make_ric(outage=True)
+        ric.cache.store(make_entry(state=True))
+        express = ric.route_registration(make_request(express=True), now=10)
+        delegated = ric.route_registration(make_request(), now=20)
+        assert express[0] is RoutingDecision.EXPRESS
+        assert delegated[0] is RoutingDecision.DELEGATED
+        assert express[2] is delegated[2]
+
+    def test_decision_entry_is_not_delegated(self):
+        ric = make_ric(outage=True, probationary=False)
+        ric.cache.store(make_entry())
+        decision, reason, _ = ric.route_registration(make_request(), now=10)
+        assert (decision, reason) == (RoutingDecision.REJECT, "no-path")
 
     def test_unknown_roamer_during_outage_probationary(self):
         ric = make_ric(outage=True)
@@ -255,7 +261,8 @@ class TestRouteRegistration:
            st.booleans(), st.booleans())
     def test_total_over_randomized_requests(self, cid, express, home,
                                             request_type, outage, with_state):
-        ric = make_ric(outage=outage, state=with_state)
+        ric = make_ric(outage=outage)
+        ric.cache.store(make_entry(cached_id=cid, state=with_state))
         request = make_request(cached_id=cid, express=express, home=home,
                                request_type=request_type)
         decision, reason, entry = ric.route_registration(request, now=5)
@@ -281,7 +288,7 @@ class TestStructuralAudit:
 def test_cache_dump_format():
     cache = TtlCache()
     cache.store(make_entry())
-    ric = Ric(None, cache, None, None, False)
+    ric = Ric([], cache=cache)
     lines = ric.dump_caches(now=1000)
     assert len(lines) == 1
     kind, cid_hex, fp, remaining = lines[0].split()

@@ -118,6 +118,9 @@ class TestConfigFromDict:
         ("xapp_delays_ms.nonexistent", 20, "xapp_delays_ms.nonexistent"),
         ("thresholds.bandwidth_free_fraction", float("nan"),
          "thresholds.bandwidth_free_fraction"),
+        # past 2**53 - 1; a float field would overflow converting it
+        pytest.param("ues[0].arrival.rate_per_s", 10**400,
+                     "ues[0].arrival.rate_per_s", id="huge-int-in-float-field"),
     ])
     def test_bad_value_names_its_field(self, path, value, named):
         doc = minimal_doc(home_backhaul={"base_latency_ms": 5,

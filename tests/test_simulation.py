@@ -212,6 +212,20 @@ class TestDelegatedPath:
         assert session.assigned_address >= 16_000_000
 
 
+class TestRanCache:
+    @pytest.mark.parametrize("design", ["decision-cache", "logic-replication"])
+    def test_one_entry_per_device(self, design):
+        cfg = load_preset("disaster").with_overrides(design=design)
+        sim = Simulation(cfg)
+        sim.run()
+        lines = sim.ric.dump_caches(cfg.horizon_ms)
+        assert lines
+        cids = [line.split()[1] for line in lines]
+        assert len(cids) == len(set(cids))
+        kind = "state" if design == "logic-replication" else "decision"
+        assert {line.split()[0] for line in lines} == {kind}
+
+
 class TestProbationary:
     def roamer_config(self, corrupt=False, outage_end=4000):
         return make_config(

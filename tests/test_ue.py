@@ -4,7 +4,7 @@ import pytest
 
 from randelsim import crypto
 from randelsim.crypto import RootSecret, SequenceState, UsimState
-from randelsim.ue import (ArrivalSpec, UeDevice, UeProfile,
+from randelsim.ue import (ARRIVAL_KINDS, ArrivalSpec, UeDevice, UeProfile,
                           cohort_arrival_times, sensor_attempt_times)
 
 
@@ -51,6 +51,15 @@ class TestArrivals:
         spec = ArrivalSpec(kind="flood", time_ms=0, rate_per_s=1000)
         times = cohort_arrival_times(spec, 10, 60_000, random.Random(0))
         assert times == list(range(10))
+
+    @pytest.mark.parametrize("kind", ARRIVAL_KINDS)
+    def test_tiny_rates_stay_inside_the_horizon(self, kind):
+        # offsets of 1 / 5e-324 s are infinite before the horizon clips them
+        spec = ArrivalSpec(kind=kind, time_ms=100, rate_per_s=5e-324,
+                           tail_rate_per_s=5e-324)
+        times = cohort_arrival_times(spec, 8, 10_000, random.Random(0))
+        assert len(times) == 8
+        assert all(type(t) is int and 0 <= t <= 9_999 for t in times)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
