@@ -12,7 +12,8 @@ from __future__ import annotations
 import hashlib
 import hmac
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 KEY_LEN = 32  # 256-bit keys everywhere
 RAND_LEN = 16
@@ -76,20 +77,39 @@ class AuthenticationVector:
 
 @dataclass(frozen=True)
 class SessionKeys:
-    k_amf: bytes
-    k_nas: bytes
-    k_up: bytes
-    k_rrc: bytes
+    """Session keys of one device, each derived from K_SEAF on first read.
+
+    The anchor and the device's cached id are all a holder needs: K_AMF and
+    K_NAS follow the K_SEAF -> K_AMF -> K_NAS chain; K_UP and K_RRC derive
+    from K_SEAF directly. ``cached_property`` writes the instance
+    ``__dict__``, so each key is derived at most once per instance.
+    """
+
+    k_seaf: bytes
+    cached_id: bytes
+
+    @cached_property
+    def k_amf(self) -> bytes:
+        return derive_key(self.k_seaf, "AMF", self.cached_id)
+
+    @cached_property
+    def k_nas(self) -> bytes:
+        return derive_key(self.k_amf, "NAS", self.cached_id)
+
+    @cached_property
+    def k_up(self) -> bytes:
+        return derive_key(self.k_seaf, "UP", self.cached_id)
+
+    @cached_property
+    def k_rrc(self) -> bytes:
+        return derive_key(self.k_seaf, "RRC", self.cached_id)
 
 
 @dataclass(frozen=True)
-class KeyHierarchy:
+class KeyHierarchy(SessionKeys):
+    """The serving network's chain for one device: K_AUSF, K_SEAF, session keys."""
+
     k_ausf: bytes
-    k_seaf: bytes
-    k_amf: bytes
-    k_nas: bytes
-    k_up: bytes
-    k_rrc: bytes
     serving_network: str
 
 
@@ -150,18 +170,12 @@ def derive_k_seaf(k_ausf: bytes, serving_network: str) -> bytes:
 
 def derive_session_keys(k_seaf: bytes, cached_id: bytes) -> SessionKeys:
     """Session keys from the anchor alone; no root secret required."""
-    k_amf = derive_key(k_seaf, "AMF", cached_id)
-    k_nas = derive_key(k_amf, "NAS", cached_id)
-    k_up = derive_key(k_seaf, "UP", cached_id)
-    k_rrc = derive_key(k_seaf, "RRC", cached_id)
-    return SessionKeys(k_amf=k_amf, k_nas=k_nas, k_up=k_up, k_rrc=k_rrc)
+    return SessionKeys(k_seaf=k_seaf, cached_id=cached_id)
 
 
 def build_hierarchy(k_ausf: bytes, serving_network: str, cached_id: bytes) -> KeyHierarchy:
-    k_seaf = derive_k_seaf(k_ausf, serving_network)
-    sk = derive_session_keys(k_seaf, cached_id)
-    return KeyHierarchy(k_ausf=k_ausf, k_seaf=k_seaf, k_amf=sk.k_amf,
-                        k_nas=sk.k_nas, k_up=sk.k_up, k_rrc=sk.k_rrc,
+    return KeyHierarchy(k_seaf=derive_k_seaf(k_ausf, serving_network),
+                        cached_id=cached_id, k_ausf=k_ausf,
                         serving_network=serving_network)
 
 
@@ -179,7 +193,11 @@ def ue_verify_and_respond(usim: UsimState, rand: bytes, autn: Autn) -> bytes:
     return _response(usim.k.value, rand)
 
 
-def express_response_mac(k_seaf: bytes, cached_id: bytes, nonce: bytes) -> bytes:
-    """Local re-registration proof: MAC under the NAS key derived from the anchor."""
-    k_nas = derive_session_keys(k_seaf, cached_id).k_nas
+def express_mac(k_nas: bytes, nonce: bytes) -> bytes:
+    """Local re-registration proof: MAC over the nonce under K_NAS."""
     return prf(k_nas, "EXPRESS-RESP", nonce)
+
+
+def express_response_mac(k_seaf: bytes, cached_id: bytes, nonce: bytes) -> bytes:
+    """``express_mac`` under the K_NAS derived from the anchor."""
+    return express_mac(derive_session_keys(k_seaf, cached_id).k_nas, nonce)

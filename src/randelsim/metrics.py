@@ -10,7 +10,7 @@ CSV_COLUMNS = ("scenario", "design", "seed", "ue_id", "outcome", "path",
                "latency_ms", "backhaul_msgs", "backhaul_bytes")
 
 
-@dataclass
+@dataclass(slots=True)
 class OutcomeRow:
     ue_id: str
     cohort: str
@@ -20,7 +20,6 @@ class OutcomeRow:
     latency_ms: int
     backhaul_msgs: int
     backhaul_bytes: int
-    finished_at: int
 
 
 def percentile(values: list[int], q: float) -> int:

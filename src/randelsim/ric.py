@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import random
 import typing
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .backhaul import BackhaulLink
 from .core import SubscriptionPolicy
-from .crypto import RootSecret
+from .crypto import RootSecret, derive_session_keys
 
 XAPP_DELAY_MIN_MS = 10
 XAPP_DELAY_MAX_MS = 1000
@@ -62,6 +64,11 @@ class DecisionCacheEntry:
     ttl: int
     created_at: int
 
+    @cached_property
+    def k_nas(self) -> bytes:
+        """Derived from the cached anchor once per entry; not a field."""
+        return derive_session_keys(self.k_seaf, self.cached_id).k_nas
+
     def live(self, now: int) -> bool:
         return now < self.created_at + self.ttl
 
@@ -94,13 +101,22 @@ EXPIRED = CacheExpired()
 
 
 class TtlCache:
-    """TTL cache keyed by cached_id; earliest-expiry eviction when full."""
+    """TTL cache keyed by cached_id; earliest-expiry eviction when full.
+
+    The victim is the entry with the least ``(expiry, cached_id)``. A heap of
+    those keys sits beside the dict; only ids go in it, never entries, so a
+    replaced or deleted entry is not kept alive. Items whose id is gone or
+    was stored again with another expiry are stale and skipped on pop. Every
+    live entry has an item with its current key, so the first item that
+    matches a live entry is the least live key.
+    """
 
     def __init__(self, capacity: int = 10_000):
         if capacity <= 0:
             raise ValueError("capacity must be > 0")
         self.capacity = capacity
         self._entries: dict[bytes, DecisionCacheEntry] = {}
+        self._expiries: list[tuple[int, bytes]] = []
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -108,11 +124,24 @@ class TtlCache:
     def store(self, entry: DecisionCacheEntry) -> None:
         if entry.ttl <= 0:
             raise ValueError("ttl must be > 0")
-        self._entries[entry.cached_id] = entry
-        if len(self._entries) > self.capacity:
-            victim = min(self._entries.values(),
-                         key=lambda e: (e.created_at + e.ttl, e.cached_id))
-            del self._entries[victim.cached_id]
+        entries, heap = self._entries, self._expiries
+        entries[entry.cached_id] = entry
+        heapq.heappush(heap, (entry.created_at + entry.ttl, entry.cached_id))
+        if len(entries) > self.capacity:
+            while True:
+                expiry, cid = heapq.heappop(heap)
+                live = entries.get(cid)
+                if live is not None and live.created_at + live.ttl == expiry:
+                    break
+            del entries[cid]
+        self._compact()
+
+    def _compact(self) -> None:
+        """Rebuild the heap from the live entries once stale items dominate."""
+        if len(self._expiries) > 2 * len(self._entries):
+            self._expiries = [(e.created_at + e.ttl, cid)
+                              for cid, e in self._entries.items()]
+            heapq.heapify(self._expiries)
 
     def lookup(self, cached_id: bytes, request_type: str, now: int):
         """Entry iff live and the request type is cached; evicts on expiry."""
@@ -121,6 +150,7 @@ class TtlCache:
             return MISS
         if not entry.live(now):
             del self._entries[cached_id]
+            self._compact()
             return EXPIRED
         if not entry.handles(request_type):
             return MISS

@@ -47,7 +47,7 @@ def subscriber_root_secret(seed: int, supi: str) -> RootSecret:
     return RootSecret(crypto.prf(master, "K", supi.encode()))
 
 
-@dataclass
+@dataclass(slots=True)
 class Attempt:
     device: UeDevice
     request_type: str  # registration | reauth | deferred
@@ -58,8 +58,6 @@ class Attempt:
     outcome: str | None = None
     backhaul_msgs: int = 0
     backhaul_bytes: int = 0
-    home_msgs: int = 0
-    home_bytes: int = 0
     held_nfs: list = field(default_factory=list)
 
     @property
@@ -348,8 +346,7 @@ class Simulation:
             request_type=att.request_type, outcome=outcome, path=att.path,
             latency_ms=self.kernel.now - att.start,
             backhaul_msgs=att.backhaul_msgs,
-            backhaul_bytes=att.backhaul_bytes,
-            finished_at=self.kernel.now))
+            backhaul_bytes=att.backhaul_bytes))
         if att.request_type == "reauth" and outcome != "success":
             # failed re-authentication tears the session down
             cid = device.identity.cached_id
@@ -383,10 +380,7 @@ class Simulation:
             self.serving.log(now, src, dst, msg, 0)
             return self.cfg.core_hop_latency_ms
         size = self.cfg.message_size(msg)
-        if home:
-            att.home_msgs += 1
-            att.home_bytes += size
-        else:
+        if not home:
             att.backhaul_msgs += 1
             att.backhaul_bytes += size
         self.serving.log(now, src, dst, msg, size)
@@ -427,7 +421,6 @@ class Simulation:
             av = crypto.generate_av(record.root_secret, record.sequence, sn,
                                     self.kernel.stream("av"))
             yield self._cross(att, "AV_RESPONSE", udm, "ausf", home=True)
-        k_seaf = crypto.derive_k_seaf(av.k_derived, sn)
         yield hop  # AUSF -> SEAF
 
         yield self._cross(att, "AUTH_CHALLENGE", "seaf", "ran")
@@ -453,6 +446,7 @@ class Simulation:
             return
 
         hierarchy = crypto.build_hierarchy(av.k_derived, sn, cid)
+        k_seaf = hierarchy.k_seaf
         self.serving.seaf_hierarchies[cid] = hierarchy
         device.derive_hierarchy_from_challenge(av.rand, sn)
 
@@ -502,9 +496,7 @@ class Simulation:
         yield self.cfg.radio_latency_ms  # challenge to the device
         mac = device.express_response(nonce)
         yield self.cfg.radio_latency_ms  # response back
-        expected = crypto.express_response_mac(entry.k_seaf,
-                                               device.identity.cached_id, nonce)
-        return mac is not None and mac == expected
+        return mac is not None and mac == crypto.express_mac(entry.k_nas, nonce)
 
     def _express_flow(self, att: Attempt, device: UeDevice,
                       entry: DecisionCacheEntry, delay_ms: int):

@@ -91,10 +91,14 @@ class UeDevice:
         return self.learn_hierarchy(k_ausf, serving_network)
 
     def express_response(self, nonce: bytes) -> bytes | None:
+        """MAC under the K_NAS of the current anchor; None without one."""
         if self.k_seaf is None:
             return None
-        return crypto.express_response_mac(self.k_seaf, self.identity.cached_id,
-                                           nonce)
+        keys = self.hierarchy
+        if keys is None or keys.k_seaf != self.k_seaf:
+            keys = crypto.derive_session_keys(self.k_seaf,
+                                              self.identity.cached_id)
+        return crypto.express_mac(keys.k_nas, nonce)
 
 
 def cohort_arrival_times(spec: ArrivalSpec, count: int, horizon_ms: int,

@@ -86,6 +86,35 @@ class TestTtlCache:
         with pytest.raises(ValueError):
             TtlCache().store(make_entry(ttl=0))
 
+    @given(st.integers(min_value=1, max_value=5),
+           st.lists(st.tuples(st.booleans(), st.integers(0, 7),
+                              st.integers(1, 4), st.integers(0, 3)),
+                    max_size=60))
+    def test_eviction_matches_min_over_entries(self, capacity, ops):
+        # reference: the dict plus a full scan for the least
+        # (expiry, cached_id), evicting on store and deleting on expired lookup
+        cache, model, now = TtlCache(capacity), {}, 0
+        for is_store, n, ttl, step in ops:
+            cid = bytes([n]) * 32
+            now += step
+            if is_store:
+                cache.store(make_entry(cached_id=cid, ttl=ttl, created_at=now))
+                model[cid] = now + ttl
+                if len(model) > capacity:
+                    del model[min((e, c) for c, e in model.items())[1]]
+            else:
+                got = cache.lookup(cid, "registration", now)
+                if cid not in model:
+                    assert got is MISS
+                elif now >= model[cid]:
+                    assert got is EXPIRED
+                    del model[cid]
+                else:
+                    assert isinstance(got, DecisionCacheEntry)
+            assert {c: e.created_at + e.ttl
+                    for c, e in cache._entries.items()} == model
+            assert len(cache._expiries) <= 2 * len(model) + 1
+
     @given(st.integers(min_value=1, max_value=10 * HOUR_TTL),
            st.integers(min_value=0, max_value=20 * HOUR_TTL))
     def test_liveness_boundary_property(self, ttl, now):

@@ -3,6 +3,7 @@ import weakref
 
 import pytest
 
+from randelsim import crypto
 from randelsim.scenario import (DESIGNS, config_from_dict, load_preset,
                                 preset_names)
 from randelsim.simulation import (BACKHAUL_MSGS_FULL_REG, BACKHAUL_MSGS_REAUTH,
@@ -174,6 +175,38 @@ class TestExpressPath:
         reg, reauth = report.rows
         assert (reg.path, reauth.path) == ("standard", "express")
         assert reauth.backhaul_msgs == 0
+
+    def test_prf_calls_per_attempt(self, monkeypatch):
+        # one device, so attempts never overlap: the PRF calls made since
+        # the previous attempt ended all belong to the attempt that ends next
+        cfg = make_config(design="decision-cache", horizon=200_000,
+                          reauth_interval_ms=30_000,
+                          cohorts=[one_ue(express_eligible=True)])
+        sim = Simulation(cfg)
+        calls, ends = 0, []
+        prf, finalize = crypto.prf, sim._finalize
+
+        def counting_prf(*args):
+            nonlocal calls
+            calls += 1
+            return prf(*args)
+
+        def marking_finalize(att, outcome):
+            if not att.finalized:
+                ends.append(calls)
+            finalize(att, outcome)
+
+        monkeypatch.setattr(crypto, "prf", counting_prf)
+        sim._finalize = marking_finalize
+        report = sim.run()
+        per_attempt = [b - a for a, b in zip([0] + ends, ends)]
+        paths = [row.path for row in report.rows]
+        assert paths == ["standard"] + ["express"] * 6
+        assert all(row.outcome == "success" for row in report.rows)
+        # AV (3), device answer (2), network K_SEAF (1), device chain (2)
+        assert per_attempt[0] <= 8
+        # the first challenge derives K_NAS on both sides, later ones reuse it
+        assert all(n <= 2 for n in per_attempt[2:])
 
     def test_expired_entry_falls_back_to_standard(self):
         cfg = self.prewarmed_config(horizon=10_000)
