@@ -97,10 +97,6 @@ class CoreNetwork:
     def find_by_suci(self, suci: str) -> SubscriberRecord | None:
         return self._by_suci.get(suci)
 
-    @property
-    def subscribers(self) -> list[SubscriberRecord]:
-        return list(self._by_supi.values())
-
     # -- NF selection ------------------------------------------------------
 
     def select_nf(self, kind: str) -> NfInstance:

@@ -8,7 +8,7 @@ import random
 import typing
 from collections import deque
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -55,12 +55,11 @@ class RoutingDecision(Enum):
 
 @dataclass
 class DecisionCacheEntry:
-    """Cached core decisions for one device; anchor key only, never the root."""
+    """Cached core decision for one device; anchor key only, never the root."""
 
     cached_id: bytes
     k_seaf: bytes
-    control_plane_decisions: dict[str, dict[str, str]]
-    data_plane_decisions: dict[str, dict[str, str]]
+    slice_grant: str
     ttl: int
     created_at: int
 
@@ -72,18 +71,12 @@ class DecisionCacheEntry:
     def live(self, now: int) -> bool:
         return now < self.created_at + self.ttl
 
-    def handles(self, request_type: str) -> bool:
-        return (request_type in self.control_plane_decisions
-                or request_type in self.data_plane_decisions)
-
 
 @dataclass
 class StateCacheEntry(DecisionCacheEntry):
-    """Decision cache plus a version-stamped snapshot of core state."""
+    """Cached decision plus a snapshot of the subscriber's policy."""
 
-    control_plane_state: SubscriptionPolicy = None  # type: ignore[assignment]
-    data_plane_state: dict[str, str] = field(default_factory=dict)
-    snapshot_at: int = 0
+    control_plane_state: SubscriptionPolicy
 
 
 class CacheMiss:
@@ -143,8 +136,8 @@ class TtlCache:
                               for cid, e in self._entries.items()]
             heapq.heapify(self._expiries)
 
-    def lookup(self, cached_id: bytes, request_type: str, now: int):
-        """Entry iff live and the request type is cached; evicts on expiry."""
+    def lookup(self, cached_id: bytes, now: int):
+        """Entry iff live; evicts on expiry."""
         entry = self._entries.get(cached_id)
         if entry is None:
             return MISS
@@ -152,8 +145,6 @@ class TtlCache:
             del self._entries[cached_id]
             self._compact()
             return EXPIRED
-        if not entry.handles(request_type):
-            return MISS
         return entry
 
     def contains(self, cached_id: bytes) -> bool:
@@ -275,13 +266,9 @@ class DosFilter:
 @dataclass(frozen=True)
 class RegistrationRequest:
     cached_id: bytes
-    suci: str
-    request_type: str  # "registration" | "reauth"
     home_network: str
     serving_network: str
     express_eligible: bool
-    slice_id: str
-    service: str | None
 
 
 class Ric:
@@ -327,7 +314,7 @@ class Ric:
                 return RoutingDecision.REJECT, "filtered", None
         entry = None  # not looked up yet; a lookup never returns None
         if request.express_eligible and self.cache is not None:
-            entry = self.cache.lookup(cid, request.request_type, now)
+            entry = self.cache.lookup(cid, now)
             if isinstance(entry, DecisionCacheEntry):
                 return RoutingDecision.EXPRESS, "decision-cache-hit", entry
         if self.assessor is not None:
@@ -337,7 +324,7 @@ class Ric:
             if health.reachable and health.available_bandwidth >= threshold:
                 return RoutingDecision.STANDARD, "backhaul-healthy", None
         if entry is None and "state-auth" in self.xapps:
-            entry = self.cache.lookup(cid, request.request_type, now)
+            entry = self.cache.lookup(cid, now)
         if isinstance(entry, StateCacheEntry):
             return RoutingDecision.DELEGATED, "state-cache-hit", entry
         unknown_roamer = (not known

@@ -82,7 +82,9 @@ class Simulation:
         self.serving = CoreNetwork(config.serving_network)
         self.home_cores: dict[str, CoreNetwork] = {}
         self.devices: dict[str, UeDevice] = {}
-        self.attempts: list[Attempt] = []
+        # attempts from start to finalize, keyed by their timeout slot; in
+        # start order, which the sweep at the horizon keeps
+        self._open: dict[int, Attempt] = {}
         self.rows: list[OutcomeRow] = []
         self.ran_sessions: dict[bytes, SessionRecord] = {}
         self._ran_next_address = RAN_ADDRESS_BASE
@@ -161,15 +163,6 @@ class Simulation:
                     period_ms=spec.period_ms, corrupt_key=spec.corrupt_key)
                 self.devices[supi] = UeDevice(profile)
 
-    def _decision_maps(self, slice_id: str, qos: str):
-        cp = {"registration": {"access-control": "allow",
-                               "slice-grant": slice_id},
-              "reauth": {"access-control": "allow"}}
-        dp = {"registration": {"traffic-steering": "local-upf",
-                               "resource-grant": qos},
-              "reauth": {"resource-grant": qos}}
-        return cp, dp
-
     def _prewarm_caches(self) -> None:
         if self.ric.cache is None:
             return
@@ -203,21 +196,16 @@ class Simulation:
             return
         ttl = ttl if ttl is not None else self.cfg.cache_ttl_ms
         cid = device.identity.cached_id
-        cp, dp = self._decision_maps(device.profile.slice_id,
-                                     record.subscription.qos_class)
-        decisions = dict(cached_id=cid, k_seaf=k_seaf,
-                         control_plane_decisions=cp, data_plane_decisions=dp,
-                         ttl=ttl, created_at=now)
+        decision = dict(cached_id=cid, k_seaf=k_seaf,
+                        slice_grant=device.profile.slice_id,
+                        ttl=ttl, created_at=now)
         if "state-auth" in self.ric.xapps:
             # one entry per device: replicated logic authenticates from a
-            # snapshot of core state kept beside the cached decisions
-            entry = StateCacheEntry(
-                **decisions, control_plane_state=record.subscription,
-                data_plane_state={"resource-allocation": "standard",
-                                  "qos": record.subscription.qos_class},
-                snapshot_at=now)
+            # snapshot of the subscriber's policy kept beside the decision
+            entry = StateCacheEntry(**decision,
+                                    control_plane_state=record.subscription)
         else:
-            entry = DecisionCacheEntry(**decisions)
+            entry = DecisionCacheEntry(**decision)
         self.ric.cache.store(entry)
         self.ric.known_ids.add(cid)
         self._edge_holds_kseaf = True
@@ -232,9 +220,8 @@ class Simulation:
         # events past the horizon never fire; dropping them frees the
         # actions that refer back to this simulation
         self.kernel.discard_pending()
-        for att in self.attempts:
-            if not att.finalized:
-                self._finalize(att, "timeout")
+        for att in list(self._open.values()):
+            self._finalize(att, "timeout")
         return MetricsReport(
             scenario=self.cfg.name, design=self.cfg.design, seed=self.seed,
             rows=self.rows,
@@ -280,7 +267,7 @@ class Simulation:
         att = Attempt(device=device, request_type=request_type, start=now,
                       deadline=now + self.cfg.request_timeout_ms,
                       timeout_seq=self.kernel.reserve())
-        self.attempts.append(att)
+        self._open[att.timeout_seq] = att
         # one radio hop carries the request from the device to the RAN
         self.kernel.schedule(self.cfg.radio_latency_ms,
                              lambda: self._route_attempt(att, force_standard))
@@ -293,14 +280,9 @@ class Simulation:
         else:
             request = RegistrationRequest(
                 cached_id=device.identity.cached_id,
-                suci=device.identity.suci,
-                request_type=("reauth" if att.request_type == "reauth"
-                              else "registration"),
                 home_network=device.profile.home_network,
                 serving_network=self.cfg.serving_network,
-                express_eligible=device.profile.express_eligible,
-                slice_id=device.profile.slice_id,
-                service=device.profile.service)
+                express_eligible=device.profile.express_eligible)
             decision, reason, entry = self.ric.route_registration(
                 request, self.kernel.now)
         self._dispatch_decision(att, decision, reason, entry)
@@ -337,6 +319,7 @@ class Simulation:
         if att.finalized:
             return
         att.outcome = outcome
+        del self._open[att.timeout_seq]
         for inst in att.held_nfs:
             self.serving.release_nf(inst)
         att.held_nfs.clear()
@@ -507,9 +490,7 @@ class Simulation:
             # entry expired mid-flow: fall back to the routing procedure
             self._route_attempt(att, force_standard=False)
             return
-        slice_id = entry.control_plane_decisions.get(
-            "registration", {}).get("slice-grant", device.profile.slice_id)
-        self._grant_local_session(device, slice_id,
+        self._grant_local_session(device, entry.slice_grant,
                                   device.session_services or
                                   frozenset({device.profile.service or "data"}))
         yield self.cfg.radio_latency_ms  # grant
@@ -542,19 +523,23 @@ class Simulation:
         yield delay_ms
         prob = self.cfg.probationary
         cid = device.identity.cached_id
-        self._grant_local_session(device, prob.slice_id,
-                                  frozenset(prob.services))
+        opened = self._grant_local_session(device, prob.slice_id,
+                                           frozenset(prob.services))
         self.ric.log_access(self.kernel.now, cid, "probationary-admit",
                             f"{prob.slice_id}:{','.join(sorted(prob.services))}")
         yield self.cfg.radio_latency_ms
         self._finalize(att, "success")
-        self._schedule_deferred_poll(device)
+        if opened:
+            # a re-admission into an open session keeps its one poll
+            self._schedule_deferred_poll(device)
 
     def _grant_local_session(self, device: UeDevice, slice_id: str,
-                             services: frozenset[str]) -> None:
+                             services: frozenset[str]) -> bool:
+        """Grant from the RAN pool; True iff this opened a new session."""
         cid = device.identity.cached_id
         session = self.ran_sessions.get(cid)
-        if session is None or not session.active:
+        opened = session is None or not session.active
+        if opened:
             session = SessionRecord(
                 cached_id=cid, slice_id=slice_id,
                 assigned_address=self._ran_next_address,
@@ -568,6 +553,7 @@ class Simulation:
             session.services = services
         device.session_slice = slice_id
         device.session_services = services
+        return opened
 
     # -- probationary lifecycle --------------------------------------------
 

@@ -253,11 +253,10 @@ def test_10_ttl_semantics():
         cache = TtlCache()
         cache.store(DecisionCacheEntry(
             cached_id=b"\x01" * 32, k_seaf=b"\x02" * 32,
-            control_plane_decisions={"registration": {}},
-            data_plane_decisions={}, ttl=HOUR_TTL, created_at=0))
-        hit = cache.lookup(b"\x01" * 32, "registration", HOUR_TTL - 1)
+            slice_grant="default", ttl=HOUR_TTL, created_at=0))
+        hit = cache.lookup(b"\x01" * 32, HOUR_TTL - 1)
         assert isinstance(hit, DecisionCacheEntry)
-        miss = cache.lookup(b"\x01" * 32, "registration", HOUR_TTL)
+        miss = cache.lookup(b"\x01" * 32, HOUR_TTL)
         assert not isinstance(miss, DecisionCacheEntry)
 
 

@@ -16,22 +16,13 @@ HOUR_TTL = 3_600_000  # the canonical 60:00 m example
 
 def make_entry(cached_id=b"\x01" * 32, ttl=HOUR_TTL, created_at=0,
                state=False) -> DecisionCacheEntry:
-    cp = {"registration": {"access-control": "allow", "slice-grant": "default"},
-          "reauth": {"access-control": "allow"}}
-    dp = {"registration": {"traffic-steering": "local-upf"}}
+    decision = dict(cached_id=cached_id, k_seaf=b"\x02" * 32,
+                    slice_grant="default", ttl=ttl, created_at=created_at)
     if state:
         policy = SubscriptionPolicy(allowed_slices=frozenset({"default"}),
                                     authorized_services=frozenset({"data"}))
-        return StateCacheEntry(cached_id=cached_id, k_seaf=b"\x02" * 32,
-                               control_plane_decisions=cp,
-                               data_plane_decisions=dp, ttl=ttl,
-                               created_at=created_at,
-                               control_plane_state=policy,
-                               data_plane_state={}, snapshot_at=created_at)
-    return DecisionCacheEntry(cached_id=cached_id, k_seaf=b"\x02" * 32,
-                              control_plane_decisions=cp,
-                              data_plane_decisions=dp, ttl=ttl,
-                              created_at=created_at)
+        return StateCacheEntry(**decision, control_plane_state=policy)
+    return DecisionCacheEntry(**decision)
 
 
 class TestXAppBudget:
@@ -53,25 +44,20 @@ class TestXAppBudget:
 
 class TestTtlCache:
     def test_lookup_on_empty_is_miss(self):
-        assert TtlCache().lookup(b"\x01" * 32, "registration", 0) is MISS
+        assert TtlCache().lookup(b"\x01" * 32, 0) is MISS
 
     def test_hit_one_ms_before_expiry(self):
         cache = TtlCache()
         cache.store(make_entry())
-        got = cache.lookup(b"\x01" * 32, "registration", HOUR_TTL - 1)
+        got = cache.lookup(b"\x01" * 32, HOUR_TTL - 1)
         assert isinstance(got, DecisionCacheEntry)
 
     def test_expired_exactly_at_ttl(self):
         cache = TtlCache()
         cache.store(make_entry())
-        assert cache.lookup(b"\x01" * 32, "registration", HOUR_TTL) is EXPIRED
+        assert cache.lookup(b"\x01" * 32, HOUR_TTL) is EXPIRED
         # expired entries are evicted on lookup
-        assert cache.lookup(b"\x01" * 32, "registration", HOUR_TTL) is MISS
-
-    def test_unknown_request_type_is_miss(self):
-        cache = TtlCache()
-        cache.store(make_entry())
-        assert cache.lookup(b"\x01" * 32, "handover", 10) is MISS
+        assert cache.lookup(b"\x01" * 32, HOUR_TTL) is MISS
 
     def test_capacity_evicts_earliest_expiry(self):
         cache = TtlCache(capacity=2)
@@ -103,7 +89,7 @@ class TestTtlCache:
                 if len(model) > capacity:
                     del model[min((e, c) for c, e in model.items())[1]]
             else:
-                got = cache.lookup(cid, "registration", now)
+                got = cache.lookup(cid, now)
                 if cid not in model:
                     assert got is MISS
                 elif now >= model[cid]:
@@ -224,13 +210,11 @@ def make_ric(outage=False, dos=False, probationary=True) -> Ric:
                dos_filter=DosFilter() if dos else None)
 
 
-def make_request(cached_id=b"\x01" * 32, express=False, home="net-serving",
-                 request_type="registration") -> RegistrationRequest:
-    return RegistrationRequest(cached_id=cached_id, suci="suci-x",
-                               request_type=request_type, home_network=home,
+def make_request(cached_id=b"\x01" * 32, express=False,
+                 home="net-serving") -> RegistrationRequest:
+    return RegistrationRequest(cached_id=cached_id, home_network=home,
                                serving_network="net-serving",
-                               express_eligible=express, slice_id="default",
-                               service=None)
+                               express_eligible=express)
 
 
 class TestRouteRegistration:
@@ -286,14 +270,12 @@ class TestRouteRegistration:
 
     @given(st.binary(min_size=32, max_size=32), st.booleans(),
            st.sampled_from(["net-serving", "net-far"]),
-           st.sampled_from(["registration", "reauth"]),
            st.booleans(), st.booleans())
     def test_total_over_randomized_requests(self, cid, express, home,
-                                            request_type, outage, with_state):
+                                            outage, with_state):
         ric = make_ric(outage=outage)
         ric.cache.store(make_entry(cached_id=cid, state=with_state))
-        request = make_request(cached_id=cid, express=express, home=home,
-                               request_type=request_type)
+        request = make_request(cached_id=cid, express=express, home=home)
         decision, reason, entry = ric.route_registration(request, now=5)
         assert isinstance(decision, RoutingDecision)
         assert isinstance(reason, str)

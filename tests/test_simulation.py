@@ -8,7 +8,7 @@ from randelsim.scenario import (DESIGNS, config_from_dict, load_preset,
                                 preset_names)
 from randelsim.simulation import (BACKHAUL_MSGS_FULL_REG, BACKHAUL_MSGS_REAUTH,
                                   CORE_HOPS_FULL_REG, RADIO_HOPS_FULL_REG,
-                                  Simulation)
+                                  Attempt, Simulation)
 
 # Shared link parameters for the arithmetic oracles below: 512 B at 1 MB/s
 # serializes in 1 ms, so each backhaul crossing costs 50 + 1 = 51 ms.
@@ -99,12 +99,17 @@ class TestFailureModes:
         assert report.link_bytes_total == 512
 
     def test_straggler_finalized_at_horizon(self):
-        cfg = make_config(horizon=300,
-                          cohorts=[one_ue(arrival={"kind": "fixed",
-                                                   "time_ms": 100})])
+        # a registration takes 325 ms, so all three are open at 300 ms;
+        # cohorts are listed out of start order
+        starts = {"late": 150, "early": 50, "middle": 100}
+        cfg = make_config(horizon=300, cohorts=[
+            one_ue(cohort=name, arrival={"kind": "fixed", "time_ms": t})
+            for name, t in starts.items()])
         report = Simulation(cfg).run()
-        (row,) = report.rows
-        assert row.outcome == "timeout"
+        assert [r.cohort for r in report.rows] == ["early", "middle", "late"]
+        for row in report.rows:
+            assert row.outcome == "timeout"
+            assert row.latency_ms == 300 - starts[row.cohort]
 
     def test_corrupt_device_key_is_mac_failure(self):
         cfg = make_config(cohorts=[one_ue(corrupt_key=True)])
@@ -260,6 +265,31 @@ class TestRanCache:
 
 
 class TestProbationary:
+    def sensor_kernel_events(self, horizon_ms):
+        # a foreign-home sensor re-admitted every 2 s through a whole-run
+        # outage; its deferred auth never starts, so only the polls remain
+        cfg = make_config(
+            design="logic-replication", horizon=horizon_ms,
+            backhaul={"outages": [[0, horizon_ms]]},
+            probationary={"enabled": True},
+            cohorts=[one_ue(behavior="periodic-sensor", period_ms=2000,
+                            home_network="net-home")])
+        sim = Simulation(cfg)
+        processed = []
+        run_until = sim.kernel.run_until
+        sim.kernel.run_until = lambda t: processed.append(run_until(t))
+        report = sim.run()
+        assert {r.path for r in report.rows} == {"probationary"}
+        (events,) = processed
+        return events
+
+    def test_re_admission_keeps_one_deferred_poll(self):
+        # kernel events grow linearly with the horizon: doubling it adds
+        # twice what the previous doubling added, not four times
+        e60, e120, e240 = (self.sensor_kernel_events(s * 1000)
+                           for s in (60, 120, 240))
+        assert e240 - e120 <= 2 * (e120 - e60) + 2
+
     def roamer_config(self, corrupt=False, outage_end=4000):
         return make_config(
             design="logic-replication", horizon=60_000,
@@ -337,6 +367,14 @@ class TestAccounting:
 
 
 class TestLifetime:
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_finished_attempts_freed(self, design):
+        sim = Simulation(load_preset("disaster").with_overrides(design=design))
+        report = sim.run()
+        assert report.rows
+        gc.collect()
+        assert not any(isinstance(o, Attempt) for o in gc.get_objects())
+
     @pytest.mark.parametrize("design", DESIGNS)
     @pytest.mark.parametrize("preset", preset_names())
     def test_finished_run_freed_by_reference_counting(self, preset, design):
