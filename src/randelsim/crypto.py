@@ -30,7 +30,7 @@ class SyncFailure(Exception):
     """Sequence number not fresh: the challenge is stale or replayed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RootSecret:
     """Per-subscriber symmetric root key. Must never appear in RAN-side types."""
 
@@ -44,14 +44,14 @@ class RootSecret:
         return "RootSecret(<hidden>)"
 
 
-@dataclass
+@dataclass(slots=True)
 class SequenceState:
     """Home-network side counter; strictly increases per generated vector."""
 
     sqn_network: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class UsimState:
     """Device-side credentials: root secret plus highest accepted counter."""
 
@@ -113,7 +113,7 @@ class KeyHierarchy(SessionKeys):
     serving_network: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UeIdentity:
     supi: str
     suci: str

@@ -82,6 +82,11 @@ class Simulation:
         self.serving = CoreNetwork(config.serving_network)
         self.home_cores: dict[str, CoreNetwork] = {}
         self.devices: dict[str, UeDevice] = {}
+        # each cohort's devices, in ``devices`` order
+        self._cohorts: dict[str, list[UeDevice]] = {}
+        # arrivals not yet fired as (time, slot, device), latest first; only
+        # the last one is in the kernel queue
+        self._arrivals: list[tuple[int, int, UeDevice]] = []
         # attempts from start to finalize, keyed by their timeout slot; in
         # start order, which the sweep at the horizon keeps
         self._open: dict[int, Attempt] = {}
@@ -132,6 +137,7 @@ class Simulation:
     def _build_population(self) -> None:
         atk_rng = self.kernel.stream("attacker-keys")
         for spec in self.cfg.ues:
+            members = self._cohorts[spec.cohort] = []
             for i in range(spec.count):
                 supi = f"{spec.cohort}-{i + 1:04d}"
                 identity = crypto.conceal_identity(supi)
@@ -161,16 +167,17 @@ class Simulation:
                     express_eligible=spec.express_eligible,
                     slice_id=spec.slice_id, service=spec.service,
                     period_ms=spec.period_ms, corrupt_key=spec.corrupt_key)
-                self.devices[supi] = UeDevice(profile)
+                device = self.devices[supi] = UeDevice(profile)
+                members.append(device)
 
     def _prewarm_caches(self) -> None:
         if self.ric.cache is None:
             return
         sn = self.cfg.serving_network
         for pw in self.cfg.prewarm:
-            for device in self.devices.values():
+            for device in self._cohorts[pw.cohort]:
                 p = device.profile
-                if p.cohort != pw.cohort or p.behavior == "attacker-flood":
+                if p.behavior == "attacker-flood":
                     continue
                 record = self._find_record(p)
                 if record is None:
@@ -238,25 +245,38 @@ class Simulation:
             self.kernel.schedule(interval, self._probe)
 
     def _schedule_arrivals(self) -> None:
+        """Plan every arrival in a reserved slot; queue only the first.
+
+        Each arrival queues the next one when it fires. The next one sorts
+        after it, so the queue pops arrivals in the order it would if all
+        of them were queued up front, while holding one at a time.
+        """
+        reserve = self.kernel.reserve
+        plan = self._arrivals
         for spec in self.cfg.ues:
             rng = self.kernel.stream(f"arrival/{spec.cohort}")
             times = cohort_arrival_times(spec.arrival, spec.count,
                                          self.cfg.horizon_ms, rng)
-            members = [d for d in self.devices.values()
-                       if d.profile.cohort == spec.cohort]
-            for device, t0 in zip(members, times):
+            for device, t0 in zip(self._cohorts[spec.cohort], times):
                 if spec.behavior == "periodic-sensor":
                     for t in sensor_attempt_times(t0, spec.period_ms,
                                                   self.cfg.horizon_ms):
-                        self._schedule_attempt(device, "registration", t)
+                        plan.append((t, reserve(), device))
                 else:
-                    self._schedule_attempt(device, "registration", t0)
+                    plan.append((t0, reserve(), device))
+        # slots are unique, so two devices are never compared
+        plan.sort(reverse=True)
+        self._queue_next_arrival()
 
-    def _schedule_attempt(self, device: UeDevice, request_type: str,
-                          at: int) -> None:
-        delay = at - self.kernel.now
-        self.kernel.schedule(delay,
-                             lambda: self._start_attempt(device, request_type))
+    def _queue_next_arrival(self) -> None:
+        if self._arrivals:
+            when, seq, _ = self._arrivals[-1]
+            self.kernel.schedule_at(when, seq, self._arrive)
+
+    def _arrive(self) -> None:
+        device = self._arrivals.pop()[2]
+        self._queue_next_arrival()
+        self._start_attempt(device, "registration")
 
     # -- attempt lifecycle -------------------------------------------------
 
@@ -467,9 +487,10 @@ class Simulation:
 
     def _after_success(self, att: Attempt, device: UeDevice) -> None:
         if device.profile.behavior in ("interactive", "roamer"):
-            next_at = self.kernel.now + self.cfg.reauth_interval_ms
-            if next_at <= self.cfg.horizon_ms:
-                self._schedule_attempt(device, "reauth", next_at)
+            interval = self.cfg.reauth_interval_ms
+            if self.kernel.now + interval <= self.cfg.horizon_ms:
+                self.kernel.schedule(
+                    interval, lambda: self._start_attempt(device, "reauth"))
 
     def _local_challenge(self, device: UeDevice, entry: DecisionCacheEntry,
                          delay_ms: int):

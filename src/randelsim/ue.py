@@ -37,7 +37,7 @@ class ArrivalSpec:
             raise ValueError(f"rate_per_s must be > 0 for {self.kind} arrivals")
 
 
-@dataclass
+@dataclass(slots=True)
 class UeProfile:
     ue_id: str
     cohort: str
@@ -56,7 +56,7 @@ class UeProfile:
             raise ValueError(f"unknown behavior {self.behavior!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class UeDevice:
     """Runtime device state: credentials plus keys learned during a run."""
 

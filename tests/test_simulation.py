@@ -1,14 +1,17 @@
 import gc
+import tracemalloc
 import weakref
 
 import pytest
 
 from randelsim import crypto
+from randelsim.kernel import Kernel
 from randelsim.scenario import (DESIGNS, config_from_dict, load_preset,
                                 preset_names)
 from randelsim.simulation import (BACKHAUL_MSGS_FULL_REG, BACKHAUL_MSGS_REAUTH,
                                   CORE_HOPS_FULL_REG, RADIO_HOPS_FULL_REG,
                                   Attempt, Simulation)
+from randelsim.ue import UeDevice, UeProfile
 
 # Shared link parameters for the arithmetic oracles below: 512 B at 1 MB/s
 # serializes in 1 ms, so each backhaul crossing costs 50 + 1 = 51 ms.
@@ -364,6 +367,90 @@ class TestAccounting:
         report = Simulation(make_config()).run()
         assert report.aggregates == report.recompute_aggregates()
         assert report.aggregates["success_rate_by_cohort"]["solo"] == 1.0
+
+
+def flood_config(attackers):
+    return make_config(
+        design="decision-cache", horizon=10_000, dos_filter=True,
+        cohorts=[one_ue(cohort="attackers", count=attackers,
+                        behavior="attacker-flood",
+                        arrival={"kind": "flood", "time_ms": 0,
+                                 "rate_per_s": 2000})])
+
+
+class TestScale:
+    def test_queue_holds_one_pending_arrival(self, monkeypatch):
+        # queuing every arrival up front would hold all 5,000 at time 0
+        largest = [0]
+        for name in ("schedule", "schedule_at"):
+            def recording(kernel, *args, _queue=getattr(Kernel, name)):
+                result = _queue(kernel, *args)
+                largest[0] = max(largest[0], len(kernel._heap))
+                return result
+            monkeypatch.setattr(Kernel, name, recording)
+        Simulation(flood_config(5000)).run()
+        assert largest[0] < 200
+
+    def test_arrivals_start_in_time_cohort_device_period_order(
+            self, monkeypatch):
+        # sensor first arrivals at 0, 500 and 1000 ms with a 1 s period
+        # interleave across devices, and meet both fixed cohorts at 1000 ms
+        cohorts = [
+            one_ue(cohort="sensors", count=3, behavior="periodic-sensor",
+                   period_ms=1000,
+                   arrival={"kind": "flood", "time_ms": 0, "rate_per_s": 2}),
+            one_ue(cohort="early", count=2,
+                   arrival={"kind": "fixed", "time_ms": 1000}),
+            one_ue(cohort="late", count=2,
+                   arrival={"kind": "fixed", "time_ms": 1000}),
+        ]
+        sim = Simulation(make_config(horizon=3000, cohorts=cohorts))
+        starts = []
+        start_attempt = Simulation._start_attempt
+
+        def recording(self, device, request_type, *args, **kwargs):
+            if request_type == "registration":
+                starts.append((self.kernel.now, device.profile.ue_id))
+            return start_attempt(self, device, request_type, *args, **kwargs)
+
+        monkeypatch.setattr(Simulation, "_start_attempt", recording)
+        sim.run()
+        firsts = {"sensors": [0, 500, 1000], "early": [1000, 1000],
+                  "late": [1000, 1000]}
+        planned = []  # (time, cohort, device, period, ue_id)
+        for c, (cohort, times) in enumerate(firsts.items()):
+            for d, first in enumerate(times):
+                periods = (range(first, 3000, 1000) if cohort == "sensors"
+                           else [first])
+                for p, t in enumerate(periods):
+                    planned.append((t, c, d, p, f"{cohort}-{d + 1:04d}"))
+        assert starts == [(t, ue_id) for t, *_, ue_id in sorted(planned)]
+
+    def test_per_device_records_have_no_instance_dict(self):
+        sim = Simulation(make_config())
+        device = next(iter(sim.devices.values()))
+        identity, usim = device.profile.identity, device.profile.usim
+        record = sim.serving.find_by_suci(identity.suci)
+        records = [device, device.profile, identity, usim, usim.k,
+                   record.sequence]
+        assert [type(r) for r in records] == [
+            UeDevice, UeProfile, crypto.UeIdentity, crypto.UsimState,
+            crypto.RootSecret, crypto.SequenceState]
+        assert not any(hasattr(r, "__dict__") for r in records)
+
+    def test_flooding_device_retains_under_800_bytes(self):
+        cfg = flood_config(5000)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sim = Simulation(cfg)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(sim.devices) == 5000
+        assert retained / 5000 <= 800
 
 
 class TestLifetime:
