@@ -34,7 +34,10 @@ class BackhaulProfile:
             prev_end = iv[1]
 
     def in_outage(self, t: int) -> bool:
-        return any(start <= t < end for start, end in self.outages)
+        for start, end in self.outages:
+            if start <= t < end:
+                return True
+        return False
 
 
 class BackhaulLink:

@@ -1,10 +1,12 @@
 """Key hierarchy, authentication vectors, and identity concealment.
 
-All derivations are modeled with one keyed pseudorandom function
-(HMAC-SHA256) using string labels for domain separation. The root secret K
-lives only in SubscriberRecord (home network) and UsimState (device); every
-serving-network key derives from its parent plus public context, so a holder
-of an anchor key can produce the session keys without ever seeing K.
+All derivations are modeled with one keyed pseudorandom function using
+string labels for domain separation: HMAC-SHA256 (RFC 2104), computed
+directly over ``hashlib.sha256`` rather than through the ``hmac`` module's
+per-call objects. The root secret K lives only in SubscriberRecord (home
+network) and UsimState (device); every serving-network key derives from its
+parent plus public context, so a holder of an anchor key can produce the
+session keys without ever seeing K.
 """
 
 from __future__ import annotations
@@ -120,11 +122,26 @@ class UeIdentity:
     cached_id: bytes  # SHA-256 of the concealed identifier
 
 
+_BLOCK = 64  # SHA-256 block size in bytes
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+_sha256 = hashlib.sha256
+
+
 def prf(key: bytes, label: str, context: bytes = b"") -> bytes:
-    """Keyed PRF with domain-separating label."""
+    """Keyed PRF with domain-separating label.
+
+    HMAC-SHA256 (RFC 2104) of ``label || 0x00 || context``, computed directly
+    over ``hashlib``: the same bytes as ``hmac.new(key, msg, sha256)``.
+    """
     if not label:
         raise ValueError("label must be nonempty")
-    return hmac.new(key, label.encode() + b"\x00" + context, hashlib.sha256).digest()
+    if len(key) > _BLOCK:
+        key = _sha256(key).digest()
+    key = key.ljust(_BLOCK, b"\x00")
+    inner = _sha256(key.translate(_IPAD) + label.encode() + b"\x00"
+                    + context).digest()
+    return _sha256(key.translate(_OPAD) + inner).digest()
 
 
 def derive_key(parent: bytes, label: str, context: bytes = b"") -> bytes:

@@ -14,6 +14,10 @@ class Kernel:
     zero-argument callable run when the clock reaches ``fire_time``, and the
     sequence number breaks ties in scheduling order. Entities interact only by
     scheduling actions; the kernel is never shared between scenario runs.
+
+    An action may instead ``advance`` the clock and run its next step inline
+    when no queued event comes first: that step is the event the queue would
+    have popped next, so the order of events is the same either way.
     """
 
     def __init__(self, seed: int = 0):
@@ -21,6 +25,8 @@ class Kernel:
         self.now = 0
         self._heap: list[tuple[int, int, Callable[[], None]]] = []
         self._seq = 0
+        # the bound of the run_until in progress; -1 outside one
+        self._until = -1
         self._streams: dict[str, random.Random] = {}
 
     def schedule(self, delay: int, action: Callable[[], None]) -> int:
@@ -43,16 +49,37 @@ class Kernel:
             raise ValueError("when must be >= current virtual time")
         heapq.heappush(self._heap, (when, seq, action))
 
+    def advance(self, delay: int) -> bool:
+        """Move the clock ``delay`` ms on iff nothing queued fires by then.
+
+        True only inside ``run_until``, when ``now + delay`` is within its
+        bound and every queued event fires strictly later. The caller then
+        runs in place the action it would have scheduled; no sequence number
+        is taken. On False the clock stays where it is.
+        """
+        if delay < 0:
+            raise ValueError("delay must be >= 0")
+        when = self.now + delay
+        heap = self._heap
+        if when > self._until or (heap and heap[0][0] <= when):
+            return False
+        self.now = when
+        return True
+
     def run_until(self, t_end: int) -> int:
         """Process every event with fire_time <= t_end; clock ends at t_end."""
         if t_end < self.now:
             raise ValueError("t_end must be >= current virtual time")
         heap = self._heap
         processed = 0
-        while heap and heap[0][0] <= t_end:
-            self.now, _, action = heapq.heappop(heap)
-            action()
-            processed += 1
+        self._until = t_end
+        try:
+            while heap and heap[0][0] <= t_end:
+                self.now, _, action = heapq.heappop(heap)
+                action()
+                processed += 1
+        finally:
+            self._until = -1
         self.now = t_end
         return processed
 

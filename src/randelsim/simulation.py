@@ -5,7 +5,9 @@ the delay in ms until the flow's next step: a radio hop, a core-internal hop,
 xApp processing, or a message carried between cores by ``_cross`` (which
 yields ``None`` when the link loses the message). ``_resume`` is the one
 place that decides what comes next: the step, if it lands before the
-attempt's deadline, or else the request timeout.
+attempt's deadline, or else the request timeout. A step that no queued event
+comes before runs inline, on a clock moved on by ``Kernel.advance``; any
+other step is queued. Both run the same steps in the same order.
 
 Frozen flow constants (verified by the instrumented single-UE oracle trace):
 a full registration crosses the backhaul 6 times with 7 core-internal hops
@@ -363,17 +365,19 @@ class Simulation:
     # -- flow transport ----------------------------------------------------
 
     def _resume(self, att: Attempt, gen) -> None:
-        try:
-            delay = next(gen)
-        except StopIteration:
-            return
+        # an inlined step may already have moved the clock on, so no caller
+        # may do anything after this returns
         kernel = self.kernel
-        if delay is not None and kernel.now + delay < att.deadline:
-            kernel.schedule(delay, lambda: self._resume(att, gen))
-        else:
-            # lost, or the next step would land on or after the deadline
-            kernel.schedule_at(att.deadline, att.timeout_seq,
-                               lambda: self._finalize(att, "timeout"))
+        for delay in gen:
+            if delay is None or kernel.now + delay >= att.deadline:
+                # lost, or the next step would land on or after the deadline
+                kernel.schedule_at(att.deadline, att.timeout_seq,
+                                   lambda: self._finalize(att, "timeout"))
+                return
+            if not kernel.advance(delay):
+                kernel.schedule(delay, lambda: self._resume(att, gen))
+                return
+            # nothing queued comes first: run the step now, in place
 
     def _cross(self, att: Attempt, msg: str, src: str, dst: str,
                home: bool = False) -> int | None:

@@ -1,8 +1,10 @@
+import hashlib
+import hmac
 import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from randelsim import crypto
 from randelsim.crypto import (RootSecret, SequenceState, UsimState,
@@ -162,6 +164,19 @@ class TestConcealIdentity:
 def test_derive_key_deterministic_property(parent, label, context):
     assert (crypto.derive_key(parent, label, context)
             == crypto.derive_key(parent, label, context))
+
+
+@given(st.binary(max_size=200),
+       st.text(min_size=1, max_size=16),
+       st.binary(max_size=64))
+@example(b"", "K", b"")
+@example(b"\x01" * 64, "K", b"ctx")  # exactly one block: used as is
+@example(b"\x01" * 65, "K", b"ctx")  # one byte over: hashed first
+def test_prf_is_hmac_sha256(key, label, context):
+    # keys on both sides of the 64-byte SHA-256 block
+    expected = hmac.new(key, label.encode() + b"\x00" + context,
+                        hashlib.sha256).digest()
+    assert crypto.prf(key, label, context) == expected
 
 
 @given(st.integers(min_value=0, max_value=1000))

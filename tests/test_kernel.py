@@ -151,3 +151,80 @@ def test_streams_differ_between_seeds():
     xs = [Kernel(seed=1).stream("a").random() for _ in range(10)]
     ys = [Kernel(seed=2).stream("a").random() for _ in range(10)]
     assert xs != ys
+
+
+def test_advance_is_false_outside_run_until():
+    k = Kernel(seed=1)
+    assert k.advance(0) is False
+    assert k.advance(10) is False
+    assert k.now == 0
+    k.run_until(50)
+    assert k.advance(0) is False
+    assert k.now == 50
+
+
+def test_advance_moves_the_clock_when_nothing_queued_comes_first():
+    k = Kernel(seed=1)
+    seen = []
+
+    def step():
+        k.schedule(30, lambda: None)
+        seen.append(k.advance(20))
+        seen.append(k.now)
+
+    k.schedule(10, step)
+    k.run_until(100)
+    assert seen == [True, 30]
+
+
+@pytest.mark.parametrize("queued_at", [25, 30])
+def test_advance_is_false_when_a_queued_event_fires_by_then(queued_at):
+    # an event at exactly now + delay still goes first, through the queue
+    k = Kernel(seed=1)
+    seen = []
+
+    def step():
+        k.schedule(queued_at - 10, lambda: None)
+        seen.append(k.advance(20))
+        seen.append(k.now)
+
+    k.schedule(10, step)
+    k.run_until(100)
+    assert seen == [False, 10]
+
+
+def test_advance_never_passes_t_end():
+    k = Kernel(seed=1)
+    seen = []
+
+    def step():
+        seen.append(k.advance(41))
+        seen.append(k.advance(40))
+        seen.append(k.now)
+        seen.append(k.advance(1))
+
+    k.schedule(10, step)
+    k.run_until(50)
+    assert seen == [False, True, 50, False]
+    assert k.now == 50
+
+
+def test_advance_takes_no_sequence_number():
+    k = Kernel(seed=1)
+    seqs = []
+
+    def step():
+        assert k.advance(5)
+        seqs.append(k.reserve())
+        assert k.advance(5)
+        seqs.append(k.schedule(5, lambda: None))
+
+    assert k.schedule(10, step) == 1
+    k.run_until(100)
+    assert seqs == [2, 3]
+
+
+def test_advance_rejects_negative_delay():
+    k = Kernel(seed=1)
+    with pytest.raises(ValueError):
+        k.advance(-1)

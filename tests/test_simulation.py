@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import tracemalloc
 import weakref
@@ -367,6 +368,39 @@ class TestAccounting:
         report = Simulation(make_config()).run()
         assert report.aggregates == report.recompute_aggregates()
         assert report.aggregates["success_rate_by_cohort"]["solo"] == 1.0
+
+
+class TestInlineSteps:
+    @staticmethod
+    def outputs(preset, design, radio, hop):
+        cfg = dataclasses.replace(load_preset(preset), design=design,
+                                  radio_latency_ms=radio,
+                                  core_hop_latency_ms=hop)
+        report = Simulation(cfg, seed=1).run()
+        return report.to_csv(), report.aggregates
+
+    @pytest.mark.parametrize("radio,hop", [(2, 1), (0, 0)])
+    @pytest.mark.parametrize("design", DESIGNS)
+    @pytest.mark.parametrize("preset", preset_names())
+    def test_same_output_as_queueing_every_step(self, monkeypatch, preset,
+                                                design, radio, hop):
+        inline = self.outputs(preset, design, radio, hop)
+        monkeypatch.setattr(Kernel, "advance", lambda self, delay: False)
+        queued = self.outputs(preset, design, radio, hop)
+        assert inline == queued
+
+    def test_steps_run_inline(self, monkeypatch):
+        # the comparison above is not vacuous: some steps do run inline
+        advance = Kernel.advance
+        taken = []
+
+        def recorded(kernel, delay):
+            taken.append(advance(kernel, delay))
+            return taken[-1]
+
+        monkeypatch.setattr(Kernel, "advance", recorded)
+        self.outputs("flash_crowd", "baseline", 2, 1)
+        assert any(taken) and not all(taken)
 
 
 def flood_config(attackers):
