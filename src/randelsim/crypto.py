@@ -150,12 +150,27 @@ def derive_key(parent: bytes, label: str, context: bytes = b"") -> bytes:
     return prf(parent, label, context)
 
 
+# The concealment key is fixed, so its padded HMAC states are hashed once
+# (RFC 2104 section 4); the inner one has also taken the "SUCI" label.
+_CONCEAL_INNER = _sha256(_CONCEAL_KEY.ljust(_BLOCK, b"\x00").translate(_IPAD)
+                         + b"SUCI\x00")
+_CONCEAL_OUTER = _sha256(_CONCEAL_KEY.ljust(_BLOCK, b"\x00").translate(_OPAD))
+
+
 def conceal_identity(supi: str) -> UeIdentity:
-    """Model SUCI as a keyed transform of SUPI; cache key is SHA-256(SUCI)."""
+    """Model SUCI as a keyed transform of SUPI; cache key is SHA-256(SUCI).
+
+    The transform is ``prf(_CONCEAL_KEY, "SUCI", supi)``, resumed from the
+    precomputed pad states above.
+    """
     if not supi:
         raise ValueError("supi must be nonempty")
-    suci = "suci-" + prf(_CONCEAL_KEY, "SUCI", supi.encode()).hex()[:32]
-    cached_id = hashlib.sha256(suci.encode()).digest()
+    inner = _CONCEAL_INNER.copy()
+    inner.update(supi.encode())
+    outer = _CONCEAL_OUTER.copy()
+    outer.update(inner.digest())
+    suci = "suci-" + outer.hexdigest()[:32]
+    cached_id = _sha256(suci.encode()).digest()
     return UeIdentity(supi=supi, suci=suci, cached_id=cached_id)
 
 

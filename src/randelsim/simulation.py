@@ -138,38 +138,38 @@ class Simulation:
 
     def _build_population(self) -> None:
         atk_rng = self.kernel.stream("attacker-keys")
+        sn = self.cfg.serving_network
         for spec in self.cfg.ues:
+            home = spec.home_network or sn
+            profile = UeProfile(
+                cohort=spec.cohort, behavior=spec.behavior, home_network=home,
+                express_eligible=spec.express_eligible,
+                slice_id=spec.slice_id, service=spec.service,
+                period_ms=spec.period_ms, corrupt_key=spec.corrupt_key)
+            # an attacker has no subscription, so it holds no credentials
+            subscribed = spec.behavior != "attacker-flood"
+            if subscribed:
+                policy = SubscriptionPolicy(
+                    allowed_slices=frozenset(spec.allowed_slices),
+                    authorized_services=frozenset(spec.authorized_services),
+                    qos_class=spec.qos_class)
+                core = self.serving if home == sn else self._home_core(home)
             members = self._cohorts[spec.cohort] = []
             for i in range(spec.count):
                 supi = f"{spec.cohort}-{i + 1:04d}"
                 identity = crypto.conceal_identity(supi)
-                home = spec.home_network or self.cfg.serving_network
-                if spec.behavior == "attacker-flood":
-                    usim = UsimState(RootSecret(atk_rng.randbytes(32)))
-                else:
+                usim = None
+                if subscribed:
                     k = subscriber_root_secret(self.seed, supi)
-                    policy = SubscriptionPolicy(
-                        allowed_slices=frozenset(spec.allowed_slices),
-                        authorized_services=frozenset(spec.authorized_services),
-                        qos_class=spec.qos_class)
-                    record = SubscriberRecord(identity=identity, root_secret=k,
-                                              sequence=SequenceState(),
-                                              subscription=policy,
-                                              home_network=home)
-                    core = (self.serving if home == self.cfg.serving_network
-                            else self._home_core(home))
-                    core.add_subscriber(record)
+                    core.add_subscriber(SubscriberRecord(
+                        identity=identity, root_secret=k,
+                        sequence=SequenceState(), subscription=policy,
+                        home_network=home))
                     if spec.corrupt_key:
-                        usim = UsimState(RootSecret(atk_rng.randbytes(32)))
-                    else:
-                        usim = UsimState(k)
-                profile = UeProfile(
-                    ue_id=supi, cohort=spec.cohort, behavior=spec.behavior,
-                    identity=identity, usim=usim, home_network=home,
-                    express_eligible=spec.express_eligible,
-                    slice_id=spec.slice_id, service=spec.service,
-                    period_ms=spec.period_ms, corrupt_key=spec.corrupt_key)
-                device = self.devices[supi] = UeDevice(profile)
+                        k = RootSecret(atk_rng.randbytes(32))
+                    usim = UsimState(k)
+                device = self.devices[supi] = UeDevice(supi, profile,
+                                                       identity, usim)
                 members.append(device)
 
     def _prewarm_caches(self) -> None:
@@ -178,10 +178,9 @@ class Simulation:
         sn = self.cfg.serving_network
         for pw in self.cfg.prewarm:
             for device in self._cohorts[pw.cohort]:
-                p = device.profile
-                if p.behavior == "attacker-flood":
+                if device.profile.behavior == "attacker-flood":
                     continue
-                record = self._find_record(p)
+                record = self._find_record(device)
                 if record is None:
                     continue
                 # provisioning models a prior successful authentication
@@ -192,11 +191,12 @@ class Simulation:
                 self._store_cache_entries(device, record, device.k_seaf, 0,
                                           ttl=pw.ttl_ms)
 
-    def _find_record(self, profile: UeProfile) -> SubscriberRecord | None:
-        record = self.serving.find_by_suci(profile.identity.suci)
-        if record is None and profile.home_network in self.home_cores:
-            record = self.home_cores[profile.home_network].find_by_suci(
-                profile.identity.suci)
+    def _find_record(self, device: UeDevice) -> SubscriberRecord | None:
+        suci = device.identity.suci
+        record = self.serving.find_by_suci(suci)
+        home = device.profile.home_network
+        if record is None and home in self.home_cores:
+            record = self.home_cores[home].find_by_suci(suci)
         return record
 
     def _store_cache_entries(self, device: UeDevice, record: SubscriberRecord,
@@ -347,7 +347,7 @@ class Simulation:
         att.held_nfs.clear()
         device = att.device
         self.rows.append(OutcomeRow(
-            ue_id=device.profile.ue_id, cohort=device.profile.cohort,
+            ue_id=device.ue_id, cohort=device.profile.cohort,
             request_type=att.request_type, outcome=outcome, path=att.path,
             latency_ms=self.kernel.now - att.start,
             backhaul_msgs=att.backhaul_msgs,
@@ -411,7 +411,7 @@ class Simulation:
         ausf = self.serving.select_nf("AUSF")
         att.held_nfs.append(ausf)
 
-        record = self._find_record(device.profile)
+        record = self._find_record(device)
         if record is None:
             yield self._cross(att, "REG_REJECT", "amf", "ran")
             yield radio
@@ -593,7 +593,7 @@ class Simulation:
             return
         if session.slice_id != self.cfg.probationary.slice_id:
             return  # already upgraded
-        ue_id = device.profile.ue_id
+        ue_id = device.ue_id
         if ue_id not in self._deferred_inflight \
                 and self.ric.assessor is not None:
             health = self.ric.assessor.current(self.kernel.now)
@@ -610,7 +610,7 @@ class Simulation:
             self.kernel.schedule(self.cfg.thresholds.probe_interval_ms,
                                  lambda: self._watch_deferred(att))
             return
-        self._deferred_inflight.discard(att.device.profile.ue_id)
+        self._deferred_inflight.discard(att.device.ue_id)
         if att.outcome in ("mac-failure", "sync-failure",
                            "subscriber-not-found"):
             self._terminate_probationary(att.device, att.outcome)

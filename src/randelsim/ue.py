@@ -37,13 +37,12 @@ class ArrivalSpec:
             raise ValueError(f"rate_per_s must be > 0 for {self.kind} arrivals")
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class UeProfile:
-    ue_id: str
+    """What every device of one cohort shares; one object per cohort."""
+
     cohort: str
     behavior: str
-    identity: UeIdentity
-    usim: UsimState | None  # attackers carry junk keys, no subscription
     home_network: str
     express_eligible: bool = False
     slice_id: str = "default"
@@ -60,20 +59,19 @@ class UeProfile:
 class UeDevice:
     """Runtime device state: credentials plus keys learned during a run."""
 
+    ue_id: str
     profile: UeProfile
+    identity: UeIdentity
+    usim: UsimState | None  # attackers: no subscription, no credentials
     k_seaf: bytes | None = None
     hierarchy: KeyHierarchy | None = None
     session_slice: str | None = None
     session_services: frozenset[str] = frozenset()
 
-    @property
-    def identity(self) -> UeIdentity:
-        return self.profile.identity
-
     def respond_to_challenge(self, rand: bytes, autn: crypto.Autn) -> bytes:
-        if self.profile.usim is None:
+        if self.usim is None:
             raise crypto.MacFailure("device has no credentials")
-        return crypto.ue_verify_and_respond(self.profile.usim, rand, autn)
+        return crypto.ue_verify_and_respond(self.usim, rand, autn)
 
     def learn_hierarchy(self, k_ausf: bytes, serving_network: str) -> KeyHierarchy:
         self.hierarchy = crypto.build_hierarchy(k_ausf, serving_network,
@@ -84,9 +82,9 @@ class UeDevice:
     def derive_hierarchy_from_challenge(self, rand: bytes,
                                         serving_network: str) -> KeyHierarchy:
         """Device-side chain, computed from its own root secret only."""
-        if self.profile.usim is None:
+        if self.usim is None:
             raise crypto.MacFailure("device has no credentials")
-        k_ausf = crypto.derive_key(self.profile.usim.k.value, "AUSF",
+        k_ausf = crypto.derive_key(self.usim.k.value, "AUSF",
                                    serving_network.encode() + rand)
         return self.learn_hierarchy(k_ausf, serving_network)
 

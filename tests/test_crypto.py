@@ -158,6 +158,18 @@ class TestConcealIdentity:
             crypto.conceal_identity("")
 
 
+@given(st.text(min_size=1, max_size=40))
+@example("ue-001")
+@example("\u00fc\u6f22\U0001f4e1")  # non-ASCII: several UTF-8 bytes each
+def test_concealment_matches_generic_prf(supi):
+    # the precomputed pad states must give the generic PRF's bytes
+    identity = crypto.conceal_identity(supi)
+    expected = crypto.prf(crypto._CONCEAL_KEY, "SUCI", supi.encode())
+    assert identity.suci == "suci-" + expected.hex()[:32]
+    assert identity.cached_id == hashlib.sha256(identity.suci.encode()).digest()
+    assert identity.supi == supi
+
+
 @given(st.binary(min_size=32, max_size=32),
        st.text(min_size=1, max_size=16),
        st.binary(max_size=32))

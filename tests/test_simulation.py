@@ -444,7 +444,7 @@ class TestScale:
 
         def recording(self, device, request_type, *args, **kwargs):
             if request_type == "registration":
-                starts.append((self.kernel.now, device.profile.ue_id))
+                starts.append((self.kernel.now, device.ue_id))
             return start_attempt(self, device, request_type, *args, **kwargs)
 
         monkeypatch.setattr(Simulation, "_start_attempt", recording)
@@ -463,7 +463,7 @@ class TestScale:
     def test_per_device_records_have_no_instance_dict(self):
         sim = Simulation(make_config())
         device = next(iter(sim.devices.values()))
-        identity, usim = device.profile.identity, device.profile.usim
+        identity, usim = device.identity, device.usim
         record = sim.serving.find_by_suci(identity.suci)
         records = [device, device.profile, identity, usim, usim.k,
                    record.sequence]
@@ -472,7 +472,21 @@ class TestScale:
             crypto.RootSecret, crypto.SequenceState]
         assert not any(hasattr(r, "__dict__") for r in records)
 
-    def test_flooding_device_retains_under_800_bytes(self):
+    def test_cohort_devices_share_one_profile(self):
+        cohorts = [one_ue(cohort="users", count=3),
+                   one_ue(cohort="sensors", count=2,
+                          behavior="periodic-sensor"),
+                   one_ue(cohort="attackers", count=4,
+                          behavior="attacker-flood")]
+        sim = Simulation(make_config(cohorts=cohorts))
+        profiles = []
+        for cohort, members in sim._cohorts.items():
+            assert all(d.profile is members[0].profile for d in members)
+            assert members[0].profile.cohort == cohort
+            profiles.append(members[0].profile)
+        assert len({id(p) for p in profiles}) == 3
+
+    def test_flooding_device_retains_under_480_bytes(self):
         cfg = flood_config(5000)
         gc.collect()
         tracemalloc.start()
@@ -484,7 +498,34 @@ class TestScale:
         finally:
             tracemalloc.stop()
         assert len(sim.devices) == 5000
-        assert retained / 5000 <= 800
+        assert retained / 5000 <= 480
+
+
+class TestCredentials:
+    def test_flooding_devices_hold_no_credentials(self):
+        sim = Simulation(flood_config(50))
+        assert all(d.usim is None for d in sim.devices.values())
+        # building the cohort drew nothing from the junk-key stream
+        fresh = Kernel(sim.seed).stream("attacker-keys")
+        assert (sim.kernel.stream("attacker-keys").getstate()
+                == fresh.getstate())
+
+    def test_corrupt_keys_after_a_flood_still_fail_the_mac(self):
+        cohorts = [one_ue(cohort="attackers", count=5,
+                          behavior="attacker-flood",
+                          arrival={"kind": "flood", "time_ms": 0,
+                                   "rate_per_s": 100}),
+                   one_ue(cohort="corrupt", count=4, corrupt_key=True)]
+        sim = Simulation(make_config(cohorts=cohorts))
+        for device in sim._cohorts["corrupt"]:
+            record = sim.serving.find_by_suci(device.identity.suci)
+            assert device.usim.k != record.root_secret
+        report = sim.run()
+        outcomes = {}
+        for row in report.rows:
+            outcomes.setdefault(row.cohort, []).append(row.outcome)
+        assert outcomes["corrupt"] == ["mac-failure"] * 4
+        assert outcomes["attackers"] == ["subscriber-not-found"] * 5
 
 
 class TestLifetime:

@@ -10,10 +10,10 @@ from randelsim.ue import (ARRIVAL_KINDS, ArrivalSpec, UeDevice, UeProfile,
 
 def make_device(k: bytes = b"\x11" * 32, behavior="interactive") -> UeDevice:
     identity = crypto.conceal_identity("ue-100")
-    profile = UeProfile(ue_id="ue-100", cohort="c", behavior=behavior,
-                        identity=identity, usim=UsimState(k=RootSecret(k)),
+    profile = UeProfile(cohort="c", behavior=behavior,
                         home_network="net-serving")
-    return UeDevice(profile=profile)
+    return UeDevice(ue_id="ue-100", profile=profile, identity=identity,
+                    usim=UsimState(k=RootSecret(k)))
 
 
 class TestSensorSchedule:
@@ -101,10 +101,10 @@ class TestUeDevice:
 
     def test_credential_free_device_cannot_answer(self):
         identity = crypto.conceal_identity("ue-attacker")
-        profile = UeProfile(ue_id="a", cohort="c", behavior="attacker-flood",
-                            identity=identity, usim=None,
+        profile = UeProfile(cohort="c", behavior="attacker-flood",
                             home_network="net-serving")
-        device = UeDevice(profile=profile)
+        device = UeDevice(ue_id="a", profile=profile, identity=identity,
+                          usim=None)
         av = crypto.generate_av(RootSecret(b"\x11" * 32), SequenceState(),
                                 "net-serving", random.Random(2))
         with pytest.raises(crypto.MacFailure):
