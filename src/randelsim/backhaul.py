@@ -41,15 +41,23 @@ class BackhaulProfile:
 
 
 class BackhaulLink:
-    """Half-duplex FIFO link. Byte counters increment on send even when lost."""
+    """Half-duplex FIFO link. Byte counters increment on send even when lost.
 
-    def __init__(self, profile: BackhaulProfile, rng: random.Random):
+    A link built with a utilization window keeps the sends of the last
+    window, which is all ``utilization`` reads; one built without keeps none.
+    """
+
+    def __init__(self, profile: BackhaulProfile, rng: random.Random,
+                 utilization_window_ms: int | None = None):
         profile.validate()
+        if utilization_window_ms is not None and utilization_window_ms <= 0:
+            raise ValueError("utilization_window_ms must be > 0")
         self.profile = profile
         self._rng = rng
         self._busy_until = 0
         self.bytes_total = 0
         self.msg_total = 0
+        self.utilization_window_ms = utilization_window_ms
         self._send_log: deque[tuple[int, int]] = deque()  # (time, bytes)
 
     def serialization_ms(self, size: int) -> int:
@@ -59,7 +67,10 @@ class BackhaulLink:
         """Return the delivery time, or None if the message is lost."""
         self.bytes_total += size
         self.msg_total += 1
-        self._send_log.append((at, size))
+        window = self.utilization_window_ms
+        if window is not None:
+            self._trim(at - window)
+            self._send_log.append((at, size))
         p = self.profile
         if p.in_outage(at):
             return None
@@ -74,10 +85,17 @@ class BackhaulLink:
             return None
         return delivery
 
-    def utilization(self, now: int, window: int) -> int:
+    def utilization(self, now: int) -> int:
         """Bytes sent within [now - window, now]."""
-        if window <= 0:
-            raise ValueError("window must be > 0")
-        while self._send_log and self._send_log[0][0] < now - window:
-            self._send_log.popleft()
-        return sum(size for t, size in self._send_log if now - window <= t <= now)
+        window = self.utilization_window_ms
+        if window is None:
+            raise ValueError("link was built without a utilization window")
+        self._trim(now - window)
+        return sum(size for t, size in self._send_log
+                   if now - window <= t <= now)
+
+    def _trim(self, oldest: int) -> None:
+        """Drop the sends made before ``oldest``."""
+        log = self._send_log
+        while log and log[0][0] < oldest:
+            log.popleft()

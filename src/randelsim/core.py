@@ -1,8 +1,8 @@
-"""Core network functions: subscriber data, NF selection, sessions, transcript."""
+"""Core network: subscriber DB, NF selection, session admission, message log."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .crypto import KeyHierarchy, RootSecret, SequenceState, UeIdentity
 
@@ -42,19 +42,6 @@ class SubscriberRecord:
 
 
 @dataclass
-class SessionRecord:
-    cached_id: bytes
-    slice_id: str
-    assigned_address: int
-    upf_id: str
-    qos_class: str
-    established_at: int
-    services: frozenset[str]
-    locally_granted: bool = False
-    active: bool = True
-
-
-@dataclass
 class NfInstance:
     kind: str
     id: str
@@ -66,10 +53,10 @@ DEFAULT_NF_COUNTS = {"AMF": 2, "AUSF": 2, "UDM": 1, "SMF": 2, "PCF": 1,
 
 
 class CoreNetwork:
-    """One network's control plane: NF instance set, subscriber DB, sessions."""
+    """One network's control plane: NF instance set, subscriber DB, the SEAF
+    anchors of authenticated devices and a log of the messages it carried."""
 
-    def __init__(self, network_id: str, nf_counts: dict[str, int] | None = None,
-                 address_base: int = 1):
+    def __init__(self, network_id: str, nf_counts: dict[str, int] | None = None):
         self.network_id = network_id
         counts = dict(DEFAULT_NF_COUNTS)
         if nf_counts:
@@ -78,21 +65,19 @@ class CoreNetwork:
             kind: [NfInstance(kind, f"{kind.lower()}{i + 1}") for i in range(n)]
             for kind, n in counts.items()
         }
-        self._by_supi: dict[str, SubscriberRecord] = {}
         self._by_suci: dict[str, SubscriberRecord] = {}
-        self._next_address = address_base
-        self.sessions: dict[bytes, SessionRecord] = {}
         self.seaf_hierarchies: dict[bytes, KeyHierarchy] = {}
         self.transcript: list[str] = []
 
     # -- subscribers -------------------------------------------------------
 
     def add_subscriber(self, record: SubscriberRecord) -> None:
-        supi = record.identity.supi
-        if supi in self._by_supi:
-            raise ValueError(f"duplicate subscriber {supi}")
-        self._by_supi[supi] = record
-        self._by_suci[record.identity.suci] = record
+        # a SUPI always conceals to the same SUCI, so this also catches a
+        # repeated SUPI
+        suci = record.identity.suci
+        if suci in self._by_suci:
+            raise ValueError(f"duplicate subscriber {record.identity.supi}")
+        self._by_suci[suci] = record
 
     def find_by_suci(self, suci: str) -> SubscriberRecord | None:
         return self._by_suci.get(suci)
@@ -114,13 +99,13 @@ class CoreNetwork:
 
     # -- sessions ----------------------------------------------------------
 
-    def next_address(self) -> int:
-        addr = self._next_address
-        self._next_address += 1
-        return addr
-
     def establish_session(self, cached_id: bytes, policy: SubscriptionPolicy,
-                          slice_id: str, service: str | None, now: int) -> SessionRecord:
+                          slice_id: str, service: str | None) -> None:
+        """Admit an authenticated device's session on ``slice_id``.
+
+        The device holds the session that results; the core keeps no record
+        of it. The SMF and UPF it picks are held only for the call.
+        """
         if cached_id not in self.seaf_hierarchies:
             raise AuthRequired("session establishment before authentication")
         if slice_id not in policy.allowed_slices:
@@ -129,24 +114,8 @@ class CoreNetwork:
             raise PolicyDenied(f"service {service!r} not authorized")
         smf = self.select_nf("SMF")
         upf = self.select_nf("UPF")
-        session = SessionRecord(
-            cached_id=cached_id,
-            slice_id=slice_id,
-            assigned_address=self.next_address(),
-            upf_id=upf.id,
-            qos_class=policy.qos_class,
-            established_at=now,
-            services=policy.authorized_services,
-        )
-        self.sessions[cached_id] = session
         self.release_nf(smf)
         self.release_nf(upf)
-        return session
-
-    def teardown(self, cached_id: bytes) -> None:
-        session = self.sessions.get(cached_id)
-        if session is not None:
-            session.active = False
 
     # -- trace log ---------------------------------------------------------
 

@@ -145,8 +145,6 @@ def prf(key: bytes, label: str, context: bytes = b"") -> bytes:
 
 
 def derive_key(parent: bytes, label: str, context: bytes = b"") -> bytes:
-    if not label:
-        raise ValueError("label must be nonempty")
     return prf(parent, label, context)
 
 

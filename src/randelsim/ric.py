@@ -181,18 +181,17 @@ class BackhaulHealth:
 
 
 class BackhaulAssessor:
-    """Probe-based link assessment: reachability, EWMA RTT, free bandwidth."""
+    """Probe-based link assessment: reachability, EWMA RTT, and free bandwidth
+    over the link's utilization window."""
 
     EWMA_WEIGHT = 0.3  # weight on the newest sample
 
     def __init__(self, link: BackhaulLink, rng: random.Random,
-                 probe_interval_ms: int = 1000, probe_timeout_ms: int = 2000,
-                 utilization_window_ms: int = 1000):
+                 probe_interval_ms: int = 1000, probe_timeout_ms: int = 2000):
         self.link = link
         self._rng = rng
         self.probe_interval_ms = probe_interval_ms
         self.probe_timeout_ms = probe_timeout_ms
-        self.utilization_window_ms = utilization_window_ms
         self._ewma_rtt: float | None = None
         self.last: BackhaulHealth | None = None
 
@@ -208,8 +207,8 @@ class BackhaulAssessor:
                 self._ewma_rtt = (self.EWMA_WEIGHT * rtt_sample
                                   + (1 - self.EWMA_WEIGHT) * self._ewma_rtt)
         capacity = p.bandwidth_bps
-        used = self.link.utilization(now, self.utilization_window_ms)
-        used_per_s = used * 1000 // self.utilization_window_ms
+        used = self.link.utilization(now)
+        used_per_s = used * 1000 // self.link.utilization_window_ms
         available = max(0, capacity - used_per_s)
         rtt = int(round(self._ewma_rtt)) if self._ewma_rtt is not None else self.probe_timeout_ms
         self.last = BackhaulHealth(reachable=answered, measured_rtt=rtt,

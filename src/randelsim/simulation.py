@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 from . import crypto
 from .backhaul import BackhaulLink
-from .core import (AuthRequired, CoreNetwork, PolicyDenied, SessionRecord,
-                   SubscriberRecord, SubscriptionPolicy)
+from .core import (AuthRequired, CoreNetwork, PolicyDenied, SubscriberRecord,
+                   SubscriptionPolicy)
 from .crypto import MacFailure, RootSecret, SequenceState, SyncFailure, UsimState
 from .kernel import Kernel
 from .metrics import MetricsReport, OutcomeRow
@@ -39,9 +39,6 @@ CORE_HOPS_REAUTH = 4
 RADIO_HOPS_FULL_REG = 6
 RADIO_HOPS_REAUTH = 4
 HOME_MSGS_REFERRAL = 2
-
-RAN_ADDRESS_BASE = 16_000_000
-HOME_ADDRESS_BASE = 500_000
 
 
 def subscriber_root_secret(seed: int, supi: str) -> RootSecret:
@@ -76,7 +73,12 @@ class Simulation:
         self.kernel = Kernel(self.seed)
         self.colocated = config.design == "colocated"
 
-        self.link = BackhaulLink(config.backhaul, self.kernel.stream("backhaul"))
+        # only the assessor reads how busy the link is, so only a link it
+        # assesses keeps a window of its sends
+        assessed = "backhaul-assessor" in DESIGN_XAPPS[config.design]
+        self.link = BackhaulLink(
+            config.backhaul, self.kernel.stream("backhaul"),
+            config.thresholds.utilization_window_ms if assessed else None)
         home_profile = config.home_backhaul or config.backhaul
         self.home_link = BackhaulLink(home_profile,
                                       self.kernel.stream("home-backhaul"))
@@ -93,8 +95,6 @@ class Simulation:
         # start order, which the sweep at the horizon keeps
         self._open: dict[int, Attempt] = {}
         self.rows: list[OutcomeRow] = []
-        self.ran_sessions: dict[bytes, SessionRecord] = {}
-        self._ran_next_address = RAN_ADDRESS_BASE
         self._edge_holds_kseaf = False
         self._deferred_inflight: set[str] = set()
 
@@ -118,8 +118,7 @@ class Simulation:
             assessor = BackhaulAssessor(
                 self.link, self.kernel.stream("assessor"),
                 probe_interval_ms=th.probe_interval_ms,
-                probe_timeout_ms=th.probe_timeout_ms,
-                utilization_window_ms=th.utilization_window_ms)
+                probe_timeout_ms=th.probe_timeout_ms)
         if "decision-cache" in deployed:
             cache = TtlCache(cfg.cache_capacity)
         if "dos-filter" in deployed:
@@ -131,9 +130,7 @@ class Simulation:
 
     def _home_core(self, network_id: str) -> CoreNetwork:
         if network_id not in self.home_cores:
-            base = HOME_ADDRESS_BASE * (len(self.home_cores) + 1)
-            self.home_cores[network_id] = CoreNetwork(network_id,
-                                                      address_base=base)
+            self.home_cores[network_id] = CoreNetwork(network_id)
         return self.home_cores[network_id]
 
     def _build_population(self) -> None:
@@ -354,11 +351,6 @@ class Simulation:
             backhaul_bytes=att.backhaul_bytes))
         if att.request_type == "reauth" and outcome != "success":
             # failed re-authentication tears the session down
-            cid = device.identity.cached_id
-            self.serving.teardown(cid)
-            session = self.ran_sessions.get(cid)
-            if session is not None:
-                session.active = False
             device.session_slice = None
             device.session_services = frozenset()
 
@@ -471,9 +463,9 @@ class Simulation:
         yield hop  # SMF -> PCF (policy hop, no-op)
         yield hop  # SMF -> UPF
         try:
-            session = self.serving.establish_session(
+            self.serving.establish_session(
                 cid, record.subscription, device.profile.slice_id,
-                device.profile.service, self.kernel.now)
+                device.profile.service)
         except (PolicyDenied, AuthRequired):
             yield self._cross(att, "SESSION_REJECT", "smf", "ran")
             yield radio
@@ -481,12 +473,15 @@ class Simulation:
             return
         yield self._cross(att, "SESSION_ACCEPT", "smf", "ran")
         yield radio
-        device.session_slice = session.slice_id
-        device.session_services = session.services
+        device.session_slice = device.profile.slice_id
+        device.session_services = record.subscription.authorized_services
         self._store_cache_entries(device, record, k_seaf, self.kernel.now)
         self._finalize(att, "success")
         if att.request_type == "deferred":
-            self._complete_probationary_upgrade(device, record, k_seaf)
+            self.ric.log_access(
+                self.kernel.now, cid, "upgraded",
+                f"{device.session_slice}:"
+                f"{','.join(sorted(device.session_services))}")
         self._after_success(att, device)
 
     def _after_success(self, att: Attempt, device: UeDevice) -> None:
@@ -560,22 +555,8 @@ class Simulation:
 
     def _grant_local_session(self, device: UeDevice, slice_id: str,
                              services: frozenset[str]) -> bool:
-        """Grant from the RAN pool; True iff this opened a new session."""
-        cid = device.identity.cached_id
-        session = self.ran_sessions.get(cid)
-        opened = session is None or not session.active
-        if opened:
-            session = SessionRecord(
-                cached_id=cid, slice_id=slice_id,
-                assigned_address=self._ran_next_address,
-                upf_id="ran-local-upf", qos_class="best-effort",
-                established_at=self.kernel.now, services=services,
-                locally_granted=True)
-            self._ran_next_address += 1
-            self.ran_sessions[cid] = session
-        else:
-            session.slice_id = slice_id
-            session.services = services
+        """Grant a session at the RAN; True iff the device held none."""
+        opened = device.session_slice is None
         device.session_slice = slice_id
         device.session_services = services
         return opened
@@ -588,11 +569,8 @@ class Simulation:
             self.kernel.schedule(interval, lambda: self._poll_deferred(device))
 
     def _poll_deferred(self, device: UeDevice) -> None:
-        session = self.ran_sessions.get(device.identity.cached_id)
-        if session is None or not session.active:
-            return
-        if session.slice_id != self.cfg.probationary.slice_id:
-            return  # already upgraded
+        if device.session_slice != self.cfg.probationary.slice_id:
+            return  # torn down, or on its own slice already
         ue_id = device.ue_id
         if ue_id not in self._deferred_inflight \
                 and self.ric.assessor is not None:
@@ -615,27 +593,8 @@ class Simulation:
                            "subscriber-not-found"):
             self._terminate_probationary(att.device, att.outcome)
 
-    def _complete_probationary_upgrade(self, device: UeDevice,
-                                       record: SubscriberRecord,
-                                       k_seaf: bytes) -> None:
-        cid = device.identity.cached_id
-        session = self.ran_sessions.get(cid)
-        if session is not None:
-            session.slice_id = device.profile.slice_id
-            session.services = record.subscription.authorized_services
-            session.locally_granted = False
-        device.session_slice = device.profile.slice_id
-        device.session_services = record.subscription.authorized_services
-        self.ric.log_access(
-            self.kernel.now, cid, "upgraded",
-            f"{device.profile.slice_id}:"
-            f"{','.join(sorted(record.subscription.authorized_services))}")
-
     def _terminate_probationary(self, device: UeDevice, reason: str) -> None:
         cid = device.identity.cached_id
-        session = self.ran_sessions.get(cid)
-        if session is not None:
-            session.active = False
         device.session_slice = None
         device.session_services = frozenset()
         self.ric.blacklist.add(cid)

@@ -5,7 +5,7 @@ import pytest
 from randelsim.backhaul import BackhaulLink, BackhaulProfile
 
 
-def make_link(**kwargs) -> BackhaulLink:
+def make_link(window: int | None = None, **kwargs) -> BackhaulLink:
     profile = BackhaulProfile(**{
         "base_latency_ms": 50,
         "bandwidth_bps": 1_000_000,
@@ -14,7 +14,7 @@ def make_link(**kwargs) -> BackhaulLink:
         "outages": [],
         **kwargs,
     })
-    return BackhaulLink(profile, random.Random(0))
+    return BackhaulLink(profile, random.Random(0), window)
 
 
 class TestProfileValidation:
@@ -71,19 +71,39 @@ class TestTransmit:
 
 class TestUtilization:
     def test_no_traffic_is_zero(self):
-        assert make_link().utilization(1000, 500) == 0
+        assert make_link(window=500).utilization(1000) == 0
 
     def test_single_message_counted(self):
-        link = make_link()
+        link = make_link(window=500)
         link.transmit(512, 100)
-        assert link.utilization(200, 500) == 512
+        assert link.utilization(200) == 512
 
     def test_flood_approaches_counter_total(self):
-        link = make_link()
+        link = make_link(window=1000)
         for t in range(0, 1000, 10):
             link.transmit(10_000, t)
-        assert link.utilization(1000, 1000) == link.bytes_total
+        assert link.utilization(1000) == link.bytes_total
 
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError):
-            make_link().utilization(100, 0)
+            make_link(window=0)
+
+    def test_link_without_window_has_no_utilization(self):
+        with pytest.raises(ValueError):
+            make_link().utilization(100)
+
+    def test_link_without_window_keeps_no_sends(self):
+        link = make_link()
+        for t in range(0, 1000, 10):
+            link.transmit(512, t)
+        assert not link._send_log
+        assert link.bytes_total == 100 * 512
+
+    def test_kept_sends_stay_within_window(self):
+        link = make_link(window=100)
+        for t in range(0, 1000, 7):
+            link.transmit(512, t)
+            assert all(t - 100 <= sent for sent, _ in link._send_log)
+        # the sends of the last window, and nothing older
+        assert [sent for sent, _ in link._send_log] == [
+            t for t in range(0, 1000, 7) if t >= 994 - 100]

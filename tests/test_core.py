@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from randelsim import crypto
@@ -56,8 +58,19 @@ class TestSubscribers:
     def test_duplicate_supi_rejected(self):
         core = CoreNetwork("net-a")
         core.add_subscriber(make_record("ue-001"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="duplicate subscriber ue-001"):
             core.add_subscriber(make_record("ue-001"))
+
+    def test_suci_collision_rejected(self):
+        core = CoreNetwork("net-a")
+        first = make_record("ue-001")
+        core.add_subscriber(first)
+        other = make_record("ue-002")
+        other.identity = dataclasses.replace(other.identity,
+                                             suci=first.identity.suci)
+        with pytest.raises(ValueError, match="duplicate subscriber ue-002"):
+            core.add_subscriber(other)
+        assert core.find_by_suci(first.identity.suci) is first
 
     def test_lookup_by_suci(self):
         core = CoreNetwork("net-a")
@@ -77,24 +90,24 @@ class TestEstablishSession:
             b"\x02" * 32, "net-a", cid)
         return core, record, cid
 
-    def test_allowed_slice_gets_fresh_address(self):
+    def test_allowed_slice_is_admitted(self):
         core, record, cid = self.authed_core()
-        session = core.establish_session(cid, record.subscription, "default",
-                                         "data", now=10)
-        assert session.assigned_address >= 1
-        assert core.sessions[cid] is session
+        core.establish_session(cid, record.subscription, "default", "data")
+        # the SMF and UPF it picked are free again
+        assert all(nf.load == 0 for kind in ("SMF", "UPF")
+                   for nf in core.instances[kind])
 
     def test_disallowed_slice_policy_denied(self):
         core, record, cid = self.authed_core()
         with pytest.raises(PolicyDenied):
             core.establish_session(cid, record.subscription, "secret-slice",
-                                   None, now=10)
+                                   None)
 
     def test_unauthorized_service_policy_denied(self):
         core, record, cid = self.authed_core()
         with pytest.raises(PolicyDenied):
             core.establish_session(cid, record.subscription, "default",
-                                   "drone-control", now=10)
+                                   "drone-control")
 
     def test_unauthenticated_rejected(self):
         core = CoreNetwork("net-a")
@@ -102,18 +115,7 @@ class TestEstablishSession:
         core.add_subscriber(record)
         with pytest.raises(AuthRequired):
             core.establish_session(record.identity.cached_id,
-                                   record.subscription, "default", None, now=0)
-
-    def test_two_devices_get_distinct_addresses(self):
-        core, record1, cid1 = self.authed_core("ue-001")
-        record2 = make_record("ue-002")
-        core.add_subscriber(record2)
-        cid2 = record2.identity.cached_id
-        core.seaf_hierarchies[cid2] = crypto.build_hierarchy(
-            b"\x03" * 32, "net-a", cid2)
-        s1 = core.establish_session(cid1, record1.subscription, "default", None, 0)
-        s2 = core.establish_session(cid2, record2.subscription, "default", None, 0)
-        assert s1.assigned_address != s2.assigned_address
+                                   record.subscription, "default", None)
 
 
 def test_policy_requires_nonempty_slices():

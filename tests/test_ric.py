@@ -112,7 +112,7 @@ class TestAssessor:
     def make(self, base=20, outages=(), bandwidth=1_000_000):
         profile = BackhaulProfile(base_latency_ms=base, bandwidth_bps=bandwidth,
                                   outages=list(outages))
-        link = BackhaulLink(profile, random.Random(0))
+        link = BackhaulLink(profile, random.Random(0), 1000)
         return link, BackhaulAssessor(link, random.Random(1))
 
     def test_steady_probes_converge_to_rtt(self):
@@ -202,7 +202,7 @@ def make_ric(outage=False, dos=False, probationary=True) -> Ric:
     outages = [(0, 1_000_000)] if outage else []
     profile = BackhaulProfile(base_latency_ms=20, bandwidth_bps=1_000_000,
                               outages=outages)
-    link = BackhaulLink(profile, random.Random(0))
+    link = BackhaulLink(profile, random.Random(0), 1000)
     assessor = BackhaulAssessor(link, random.Random(1))
     names = ["state-auth"] + (["probationary"] if probationary else [])
     xapps = [XAppDescriptor(name, 20) for name in names]

@@ -84,9 +84,8 @@ class TestStandardFlowOracle:
         sim = Simulation(make_config())
         sim.run()
         device = next(iter(sim.devices.values()))
-        session = sim.serving.sessions[device.identity.cached_id]
-        assert session.slice_id == "default"
         assert device.session_slice == "default"
+        assert device.session_services == frozenset({"data"})
 
 
 class TestFailureModes:
@@ -98,9 +97,23 @@ class TestFailureModes:
         (row,) = report.rows
         assert row.outcome == "timeout"
         assert row.latency_ms == 3000
-        assert not sim.serving.sessions
+        device = next(iter(sim.devices.values()))
+        assert device.session_slice is None
+        assert device.session_services == frozenset()
         # the send was attempted, so the wire still carried the bytes
         assert report.link_bytes_total == 512
+
+    def test_failed_reauth_tears_session_down(self):
+        # registered at t=0, the re-auth at ~60 s meets an outage
+        cfg = make_config(horizon=90_000, request_timeout_ms=3000,
+                          backhaul={"outages": [[30_000, 90_000]]})
+        sim = Simulation(cfg)
+        reg, reauth = sim.run().rows
+        assert reg.outcome == "success"
+        assert (reauth.request_type, reauth.outcome) == ("reauth", "timeout")
+        device = next(iter(sim.devices.values()))
+        assert device.session_slice is None
+        assert device.session_services == frozenset()
 
     def test_straggler_finalized_at_horizon(self):
         # a registration takes 325 ms, so all three are open at 300 ms;
@@ -246,12 +259,15 @@ class TestDelegatedPath:
         (row,) = report.rows
         assert (row.outcome, row.path) == ("policy-denied", "delegated")
 
-    def test_local_session_from_ran_pool(self):
-        sim = Simulation(self.outage_config())
-        sim.run()
-        (session,) = sim.ran_sessions.values()
-        assert session.locally_granted
-        assert session.assigned_address >= 16_000_000
+    def test_local_session_from_snapshot(self):
+        sim = Simulation(self.outage_config(
+            authorized_services=["data", "voice"]))
+        (row,) = sim.run().rows
+        assert (row.outcome, row.path) == ("success", "delegated")
+        # the grant carries the snapshot's slice and services
+        device = next(iter(sim.devices.values()))
+        assert device.session_slice == "default"
+        assert device.session_services == frozenset({"data", "voice"})
 
 
 class TestRanCache:
@@ -338,6 +354,29 @@ class TestProbationary:
         deferred = [r for r in report.rows if r.request_type == "deferred"]
         assert deferred[0].outcome == "mac-failure"
 
+    def test_ordinary_registration_ends_probation(self):
+        # admitted at t=0 in an outage; the deferred auth started at ~2 s
+        # loses a message and is open until ~3.5 s, while the sensor's own
+        # registration at 3 s succeeds on the standard path
+        cfg = make_config(
+            design="logic-replication", horizon=12_000,
+            request_timeout_ms=1500,
+            backhaul={"outages": [[0, 2000], [2100, 2200]]},
+            probationary={"enabled": True},
+            cohorts=[one_ue(behavior="periodic-sensor", period_ms=3000,
+                            home_network="net-home")])
+        sim = Simulation(cfg)
+        report = sim.run()
+        assert [(r.request_type, r.path, r.outcome) for r in report.rows] == [
+            ("registration", "probationary", "success"),
+            ("registration", "standard", "success"),
+            ("deferred", "standard", "timeout"),
+            ("registration", "standard", "success"),
+            ("registration", "standard", "success")]
+        # the device is on its own slice, so no deferred auth follows
+        device = next(iter(sim.devices.values()))
+        assert device.session_slice == "default"
+
     def test_probationary_off_means_reject(self):
         cfg = self.roamer_config()
         cfg.probationary.enabled = False
@@ -368,6 +407,32 @@ class TestAccounting:
         report = Simulation(make_config()).run()
         assert report.aggregates == report.recompute_aggregates()
         assert report.aggregates["success_rate_by_cohort"]["solo"] == 1.0
+
+
+class TestLinkSendLog:
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_only_an_assessed_link_keeps_sends(self, design):
+        cfg = make_config(design=design, horizon=20_000, cohorts=[
+            one_ue(count=4, arrival={"kind": "poisson", "rate_per_s": 2}),
+            one_ue(cohort="roam", behavior="roamer", home_network="net-home")])
+        sim = Simulation(cfg)
+        link, window, kept = sim.link, cfg.thresholds.utilization_window_ms, []
+        transmit = link.transmit
+
+        def checked(size, at):
+            delivery = transmit(size, at)
+            assert all(at - window <= t for t, _ in link._send_log)
+            kept.append(len(link._send_log))
+            return delivery
+
+        link.transmit = checked
+        sim.run()
+        assert sim.home_link.bytes_total and not sim.home_link._send_log
+        if sim.ric.assessor is None:
+            assert not any(kept) and not link._send_log
+        else:
+            assert link.utilization_window_ms == window
+            assert max(kept) > 1
 
 
 class TestInlineSteps:
