@@ -23,7 +23,7 @@ class AuthRequired(Exception):
 class SubscriptionPolicy:
     allowed_slices: frozenset[str]
     authorized_services: frozenset[str]
-    qos_class: str = "best-effort"
+    qos_class: str
 
     def __post_init__(self):
         if not self.allowed_slices:

@@ -104,7 +104,7 @@ class TtlCache:
     matches a live entry is the least live key.
     """
 
-    def __init__(self, capacity: int = 10_000):
+    def __init__(self, capacity: int):
         if capacity <= 0:
             raise ValueError("capacity must be > 0")
         self.capacity = capacity
@@ -187,7 +187,7 @@ class BackhaulAssessor:
     EWMA_WEIGHT = 0.3  # weight on the newest sample
 
     def __init__(self, link: BackhaulLink, rng: random.Random,
-                 probe_interval_ms: int = 1000, probe_timeout_ms: int = 2000):
+                 probe_interval_ms: int, probe_timeout_ms: int):
         self.link = link
         self._rng = rng
         self.probe_interval_ms = probe_interval_ms
@@ -225,8 +225,7 @@ class BackhaulAssessor:
 class DosFilter:
     """Sliding-window triage of registrations before they touch the backhaul."""
 
-    def __init__(self, window_ms: int = 1000, unknown_limit: int = 50,
-                 retry_limit: int = 3):
+    def __init__(self, window_ms: int, unknown_limit: int, retry_limit: int):
         self.window_ms = window_ms
         self.unknown_limit = unknown_limit
         self.retry_limit = retry_limit
@@ -274,10 +273,10 @@ class Ric:
     """RIC dispatcher: deployed xApps, one cache, filter, routing, audit log."""
 
     def __init__(self, xapps: Iterable[XAppDescriptor],
+                 bandwidth_free_fraction: float,
                  assessor: BackhaulAssessor | None = None,
                  cache: TtlCache | None = None,
-                 dos_filter: DosFilter | None = None,
-                 bandwidth_free_fraction: float = 0.1):
+                 dos_filter: DosFilter | None = None):
         self.xapps = {x.name: x for x in xapps}
         self.assessor = assessor
         self.cache = cache

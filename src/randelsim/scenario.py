@@ -22,7 +22,7 @@ from pathlib import Path
 from .backhaul import BackhaulProfile
 from .core import SubscriptionPolicy
 from .ric import DEFAULT_XAPP_DELAYS, InvalidBudget, XAppDescriptor
-from .ue import BEHAVIORS, ArrivalSpec
+from .ue import UeCohortSpec
 
 DESIGNS = ("baseline", "colocated", "decision-cache", "logic-replication")
 
@@ -57,23 +57,6 @@ class ProbationaryPolicy:
     enabled: bool = False
     slice_id: str = "probation"
     services: tuple[str, ...] = ("messaging",)
-
-
-@dataclass
-class UeCohortSpec:
-    cohort: str
-    count: int = field(metadata={"min": 1})
-    behavior: str
-    arrival: ArrivalSpec
-    express_eligible: bool = False
-    home_network: str | None = None  # None means the serving network
-    slice_id: str = "default"
-    service: str | None = None
-    period_ms: int = field(default=120_000, metadata={"min": 1})
-    allowed_slices: tuple[str, ...] = ("default",)
-    authorized_services: tuple[str, ...] = ("data",)
-    qos_class: str = "best-effort"
-    corrupt_key: bool = False
 
 
 @dataclass
@@ -130,9 +113,6 @@ class ScenarioConfig:
                 raise ScenarioError(f"{where}.cohort",
                                     f"duplicate cohort {spec.cohort!r}")
             cohorts.add(spec.cohort)
-            if spec.behavior not in BEHAVIORS:
-                raise ScenarioError(f"{where}.behavior",
-                                    f"unknown behavior {spec.behavior!r}")
             try:
                 SubscriptionPolicy(frozenset(spec.allowed_slices),
                                    frozenset(spec.authorized_services),

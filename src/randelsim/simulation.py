@@ -30,7 +30,7 @@ from .ric import (DEFAULT_XAPP_DELAYS, DESIGN_XAPPS, BackhaulAssessor,
                   DecisionCacheEntry, DosFilter, RegistrationRequest, Ric,
                   RoutingDecision, StateCacheEntry, TtlCache, XAppDescriptor)
 from .scenario import ScenarioConfig
-from .ue import UeDevice, UeProfile, cohort_arrival_times, sensor_attempt_times
+from .ue import UeDevice, cohort_arrival_times, sensor_attempt_times
 
 BACKHAUL_MSGS_FULL_REG = 6
 BACKHAUL_MSGS_REAUTH = 4
@@ -95,7 +95,6 @@ class Simulation:
         # start order, which the sweep at the horizon keeps
         self._open: dict[int, Attempt] = {}
         self.rows: list[OutcomeRow] = []
-        self._edge_holds_kseaf = False
         self._deferred_inflight: set[str] = set()
 
         self.ric = self._build_ric()
@@ -117,16 +116,14 @@ class Simulation:
         if "backhaul-assessor" in deployed:
             assessor = BackhaulAssessor(
                 self.link, self.kernel.stream("assessor"),
-                probe_interval_ms=th.probe_interval_ms,
-                probe_timeout_ms=th.probe_timeout_ms)
+                th.probe_interval_ms, th.probe_timeout_ms)
         if "decision-cache" in deployed:
             cache = TtlCache(cfg.cache_capacity)
         if "dos-filter" in deployed:
-            dos = DosFilter(window_ms=th.dos_window_ms,
-                            unknown_limit=th.dos_unknown_per_window,
-                            retry_limit=th.dos_retry_limit)
-        return Ric(xapps, assessor=assessor, cache=cache, dos_filter=dos,
-                   bandwidth_free_fraction=th.bandwidth_free_fraction)
+            dos = DosFilter(th.dos_window_ms, th.dos_unknown_per_window,
+                            th.dos_retry_limit)
+        return Ric(xapps, th.bandwidth_free_fraction, assessor=assessor,
+                   cache=cache, dos_filter=dos)
 
     def _home_core(self, network_id: str) -> CoreNetwork:
         if network_id not in self.home_cores:
@@ -138,11 +135,6 @@ class Simulation:
         sn = self.cfg.serving_network
         for spec in self.cfg.ues:
             home = spec.home_network or sn
-            profile = UeProfile(
-                cohort=spec.cohort, behavior=spec.behavior, home_network=home,
-                express_eligible=spec.express_eligible,
-                slice_id=spec.slice_id, service=spec.service,
-                period_ms=spec.period_ms, corrupt_key=spec.corrupt_key)
             # an attacker has no subscription, so it holds no credentials
             subscribed = spec.behavior != "attacker-flood"
             if subscribed:
@@ -165,8 +157,8 @@ class Simulation:
                     if spec.corrupt_key:
                         k = RootSecret(atk_rng.randbytes(32))
                     usim = UsimState(k)
-                device = self.devices[supi] = UeDevice(supi, profile,
-                                                       identity, usim)
+                device = self.devices[supi] = UeDevice(supi, spec, identity,
+                                                       usim)
                 members.append(device)
 
     def _prewarm_caches(self) -> None:
@@ -184,8 +176,8 @@ class Simulation:
                 rand = crypto.prf(record.root_secret.value, "PREWARM", sn.encode())
                 k_ausf = crypto.derive_key(record.root_secret.value, "AUSF",
                                            sn.encode() + rand[:16])
-                device.learn_hierarchy(k_ausf, sn)
-                self._store_cache_entries(device, record, device.k_seaf, 0,
+                k_seaf = device.learn_hierarchy(k_ausf, sn).k_seaf
+                self._store_cache_entries(device, record, k_seaf, 0,
                                           ttl=pw.ttl_ms)
 
     def _find_record(self, device: UeDevice) -> SubscriberRecord | None:
@@ -214,7 +206,6 @@ class Simulation:
             entry = DecisionCacheEntry(**decision)
         self.ric.cache.store(entry)
         self.ric.known_ids.add(cid)
-        self._edge_holds_kseaf = True
 
     # -- run ---------------------------------------------------------------
 
@@ -280,7 +271,7 @@ class Simulation:
     # -- attempt lifecycle -------------------------------------------------
 
     def _start_attempt(self, device: UeDevice, request_type: str,
-                       force_standard: bool = False) -> Attempt:
+                       force_standard: bool = False) -> None:
         now = self.kernel.now
         # reserved now, the timeout keeps its place among same-time events
         att = Attempt(device=device, request_type=request_type, start=now,
@@ -290,7 +281,6 @@ class Simulation:
         # one radio hop carries the request from the device to the RAN
         self.kernel.schedule(self.cfg.radio_latency_ms,
                              lambda: self._route_attempt(att, force_standard))
-        return att
 
     def _route_attempt(self, att: Attempt, force_standard: bool) -> None:
         device = att.device
@@ -299,7 +289,8 @@ class Simulation:
         else:
             request = RegistrationRequest(
                 cached_id=device.identity.cached_id,
-                home_network=device.profile.home_network,
+                home_network=(device.profile.home_network
+                              or self.cfg.serving_network),
                 serving_network=self.cfg.serving_network,
                 express_eligible=device.profile.express_eligible)
             decision, reason, entry = self.ric.route_registration(
@@ -353,6 +344,11 @@ class Simulation:
             # failed re-authentication tears the session down
             device.session_slice = None
             device.session_services = frozenset()
+        elif att.request_type == "deferred":
+            self._deferred_inflight.discard(device.ue_id)
+            if outcome in ("mac-failure", "sync-failure",
+                           "subscriber-not-found"):
+                self._terminate_probationary(device, outcome)
 
     # -- flow transport ----------------------------------------------------
 
@@ -426,15 +422,12 @@ class Simulation:
         yield radio
         try:
             response = device.respond_to_challenge(av.rand, av.autn)
-        except MacFailure:
+        except (MacFailure, SyncFailure) as exc:
+            outcome = ("sync-failure" if isinstance(exc, SyncFailure)
+                       else "mac-failure")
             yield radio
             yield self._cross(att, "AUTH_FAILURE", "ran", "seaf")
-            self._finalize(att, "mac-failure")
-            return
-        except SyncFailure:
-            yield radio
-            yield self._cross(att, "AUTH_FAILURE", "ran", "seaf")
-            self._finalize(att, "sync-failure")
+            self._finalize(att, outcome)
             return
         yield radio
         yield self._cross(att, "AUTH_RESPONSE", "ran", "seaf")
@@ -473,11 +466,14 @@ class Simulation:
             return
         yield self._cross(att, "SESSION_ACCEPT", "smf", "ran")
         yield radio
+        # a deferred or an ordinary registration may end probation
+        upgraded = (device.session_slice == self.cfg.probationary.slice_id
+                    != device.profile.slice_id)
         device.session_slice = device.profile.slice_id
         device.session_services = record.subscription.authorized_services
         self._store_cache_entries(device, record, k_seaf, self.kernel.now)
         self._finalize(att, "success")
-        if att.request_type == "deferred":
+        if upgraded:
             self.ric.log_access(
                 self.kernel.now, cid, "upgraded",
                 f"{device.session_slice}:"
@@ -577,21 +573,8 @@ class Simulation:
             health = self.ric.assessor.current(self.kernel.now)
             if health.reachable:
                 self._deferred_inflight.add(ue_id)
-                att = self._start_attempt(device, "deferred",
-                                          force_standard=True)
-                self._watch_deferred(att)
+                self._start_attempt(device, "deferred", force_standard=True)
         self._schedule_deferred_poll(device)
-
-    def _watch_deferred(self, att: Attempt) -> None:
-        """Check every probe interval; settle the session once att ends."""
-        if not att.finalized:
-            self.kernel.schedule(self.cfg.thresholds.probe_interval_ms,
-                                 lambda: self._watch_deferred(att))
-            return
-        self._deferred_inflight.discard(att.device.ue_id)
-        if att.outcome in ("mac-failure", "sync-failure",
-                           "subscriber-not-found"):
-            self._terminate_probationary(att.device, att.outcome)
 
     def _terminate_probationary(self, device: UeDevice, reason: str) -> None:
         cid = device.identity.cached_id
@@ -605,6 +588,6 @@ class Simulation:
     def audit_flags(self) -> list[str]:
         if self.colocated:
             return ["root-secret-at-edge"]
-        if self._edge_holds_kseaf:
+        if self.ric.known_ids:  # an id is known once its K_SEAF is cached
             return ["k-seaf-at-edge"]
         return []

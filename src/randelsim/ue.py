@@ -38,21 +38,28 @@ class ArrivalSpec:
 
 
 @dataclass(frozen=True, slots=True)
-class UeProfile:
-    """What every device of one cohort shares; one object per cohort."""
+class UeCohortSpec:
+    """One cohort of a scenario; its devices share this object."""
 
     cohort: str
+    count: int = field(metadata={"min": 1})
     behavior: str
-    home_network: str
+    arrival: ArrivalSpec
     express_eligible: bool = False
+    home_network: str | None = None  # None means the serving network
     slice_id: str = "default"
     service: str | None = None
-    period_ms: int = 120_000  # periodic-sensor re-registration period
+    # periodic-sensor re-registration period
+    period_ms: int = field(default=120_000, metadata={"min": 1})
+    allowed_slices: tuple[str, ...] = ("default",)
+    authorized_services: tuple[str, ...] = ("data",)
+    qos_class: str = "best-effort"
     corrupt_key: bool = False
 
     def __post_init__(self):
         if self.behavior not in BEHAVIORS:
-            raise ValueError(f"unknown behavior {self.behavior!r}")
+            raise ValueError(f"behavior {self.behavior!r} is not one of "
+                             f"{BEHAVIORS}")
 
 
 @dataclass(slots=True)
@@ -60,10 +67,9 @@ class UeDevice:
     """Runtime device state: credentials plus keys learned during a run."""
 
     ue_id: str
-    profile: UeProfile
+    profile: UeCohortSpec
     identity: UeIdentity
     usim: UsimState | None  # attackers: no subscription, no credentials
-    k_seaf: bytes | None = None
     hierarchy: KeyHierarchy | None = None
     session_slice: str | None = None
     session_services: frozenset[str] = frozenset()
@@ -76,7 +82,6 @@ class UeDevice:
     def learn_hierarchy(self, k_ausf: bytes, serving_network: str) -> KeyHierarchy:
         self.hierarchy = crypto.build_hierarchy(k_ausf, serving_network,
                                                 self.identity.cached_id)
-        self.k_seaf = self.hierarchy.k_seaf
         return self.hierarchy
 
     def derive_hierarchy_from_challenge(self, rand: bytes,
@@ -90,13 +95,9 @@ class UeDevice:
 
     def express_response(self, nonce: bytes) -> bytes | None:
         """MAC under the K_NAS of the current anchor; None without one."""
-        if self.k_seaf is None:
+        if self.hierarchy is None:
             return None
-        keys = self.hierarchy
-        if keys is None or keys.k_seaf != self.k_seaf:
-            keys = crypto.derive_session_keys(self.k_seaf,
-                                              self.identity.cached_id)
-        return crypto.express_mac(keys.k_nas, nonce)
+        return crypto.express_mac(self.hierarchy.k_nas, nonce)
 
 
 def cohort_arrival_times(spec: ArrivalSpec, count: int, horizon_ms: int,

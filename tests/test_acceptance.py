@@ -18,7 +18,6 @@ from randelsim.harness import compare_designs
 from randelsim.ric import DecisionCacheEntry, InvalidBudget, TtlCache, XAppDescriptor
 from randelsim.scenario import DESIGNS, config_from_dict, load_preset
 from randelsim.simulation import Simulation
-from randelsim.ue import UeDevice, UeProfile
 
 HOUR_TTL = 3_600_000
 PRESETS = ("disaster", "flash_crowd", "ntn", "zta")
@@ -250,7 +249,7 @@ def test_09_transparency():
 
 def test_10_ttl_semantics():
     with criterion(10, "ttl-semantics"):
-        cache = TtlCache()
+        cache = TtlCache(10_000)
         cache.store(DecisionCacheEntry(
             cached_id=b"\x01" * 32, k_seaf=b"\x02" * 32,
             slice_grant="default", ttl=HOUR_TTL, created_at=0))

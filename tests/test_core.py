@@ -10,7 +10,8 @@ from randelsim.crypto import RootSecret, SequenceState
 
 def make_policy(slices=("default",), services=("data",)) -> SubscriptionPolicy:
     return SubscriptionPolicy(allowed_slices=frozenset(slices),
-                              authorized_services=frozenset(services))
+                              authorized_services=frozenset(services),
+                              qos_class="best-effort")
 
 
 def make_record(supi: str, home: str = "net-a") -> SubscriberRecord:
@@ -121,4 +122,5 @@ class TestEstablishSession:
 def test_policy_requires_nonempty_slices():
     with pytest.raises(ValueError):
         SubscriptionPolicy(allowed_slices=frozenset(),
-                           authorized_services=frozenset({"data"}))
+                           authorized_services=frozenset({"data"}),
+                           qos_class="best-effort")

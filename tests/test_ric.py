@@ -1,3 +1,4 @@
+import inspect
 import random
 import tracemalloc
 
@@ -20,7 +21,8 @@ def make_entry(cached_id=b"\x01" * 32, ttl=HOUR_TTL, created_at=0,
                     slice_grant="default", ttl=ttl, created_at=created_at)
     if state:
         policy = SubscriptionPolicy(allowed_slices=frozenset({"default"}),
-                                    authorized_services=frozenset({"data"}))
+                                    authorized_services=frozenset({"data"}),
+                                    qos_class="best-effort")
         return StateCacheEntry(**decision, control_plane_state=policy)
     return DecisionCacheEntry(**decision)
 
@@ -44,23 +46,23 @@ class TestXAppBudget:
 
 class TestTtlCache:
     def test_lookup_on_empty_is_miss(self):
-        assert TtlCache().lookup(b"\x01" * 32, 0) is MISS
+        assert TtlCache(10_000).lookup(b"\x01" * 32, 0) is MISS
 
     def test_hit_one_ms_before_expiry(self):
-        cache = TtlCache()
+        cache = TtlCache(10_000)
         cache.store(make_entry())
         got = cache.lookup(b"\x01" * 32, HOUR_TTL - 1)
         assert isinstance(got, DecisionCacheEntry)
 
     def test_expired_exactly_at_ttl(self):
-        cache = TtlCache()
+        cache = TtlCache(10_000)
         cache.store(make_entry())
         assert cache.lookup(b"\x01" * 32, HOUR_TTL) is EXPIRED
         # expired entries are evicted on lookup
         assert cache.lookup(b"\x01" * 32, HOUR_TTL) is MISS
 
     def test_capacity_evicts_earliest_expiry(self):
-        cache = TtlCache(capacity=2)
+        cache = TtlCache(2)
         cache.store(make_entry(cached_id=b"\x01" * 32, ttl=100))
         cache.store(make_entry(cached_id=b"\x02" * 32, ttl=300))
         cache.store(make_entry(cached_id=b"\x03" * 32, ttl=200))
@@ -70,7 +72,7 @@ class TestTtlCache:
 
     def test_nonpositive_ttl_rejected(self):
         with pytest.raises(ValueError):
-            TtlCache().store(make_entry(ttl=0))
+            TtlCache(10_000).store(make_entry(ttl=0))
 
     @given(st.integers(min_value=1, max_value=5),
            st.lists(st.tuples(st.booleans(), st.integers(0, 7),
@@ -113,7 +115,7 @@ class TestAssessor:
         profile = BackhaulProfile(base_latency_ms=base, bandwidth_bps=bandwidth,
                                   outages=list(outages))
         link = BackhaulLink(profile, random.Random(0), 1000)
-        return link, BackhaulAssessor(link, random.Random(1))
+        return link, BackhaulAssessor(link, random.Random(1), 1000, 2000)
 
     def test_steady_probes_converge_to_rtt(self):
         _, assessor = self.make(base=20)  # rtt samples are all 40 ms
@@ -165,7 +167,7 @@ class TestDosFilter:
         assert f.check(b"\xaa" * 32, known=True, now=200) is True
 
     def test_single_unknown_below_threshold_passes(self):
-        f = DosFilter()
+        f = DosFilter(window_ms=1000, unknown_limit=50, retry_limit=3)
         assert f.check(b"\x01" * 32, known=False, now=0) is True
 
     def test_per_id_retry_limit(self):
@@ -203,11 +205,11 @@ def make_ric(outage=False, dos=False, probationary=True) -> Ric:
     profile = BackhaulProfile(base_latency_ms=20, bandwidth_bps=1_000_000,
                               outages=outages)
     link = BackhaulLink(profile, random.Random(0), 1000)
-    assessor = BackhaulAssessor(link, random.Random(1))
+    assessor = BackhaulAssessor(link, random.Random(1), 1000, 2000)
     names = ["state-auth"] + (["probationary"] if probationary else [])
     xapps = [XAppDescriptor(name, 20) for name in names]
-    return Ric(xapps, assessor=assessor, cache=TtlCache(),
-               dos_filter=DosFilter() if dos else None)
+    return Ric(xapps, 0.1, assessor=assessor, cache=TtlCache(10_000),
+               dos_filter=DosFilter(1000, 50, 3) if dos else None)
 
 
 def make_request(cached_id=b"\x01" * 32, express=False,
@@ -297,12 +299,25 @@ class TestStructuralAudit:
 
 
 def test_cache_dump_format():
-    cache = TtlCache()
+    cache = TtlCache(10_000)
     cache.store(make_entry())
-    ric = Ric([], cache=cache)
+    ric = Ric([], 0.1, cache=cache)
     lines = ric.dump_caches(now=1000)
     assert len(lines) == 1
     kind, cid_hex, fp, remaining = lines[0].split()
     assert kind == "decision"
     assert cid_hex == ("01" * 32)
     assert int(remaining) == HOUR_TTL - 1000
+
+
+@pytest.mark.parametrize("cls, names", [
+    (TtlCache, ["capacity"]),
+    (DosFilter, ["window_ms", "unknown_limit", "retry_limit"]),
+    (BackhaulAssessor, ["probe_interval_ms", "probe_timeout_ms"]),
+    (Ric, ["bandwidth_free_fraction"]),
+    (SubscriptionPolicy, ["qos_class"]),
+])
+def test_scenario_settings_have_no_second_default(cls, names):
+    # each default lives in its scenario field; the constructor takes it
+    params = inspect.signature(cls).parameters
+    assert all(params[n].default is inspect.Parameter.empty for n in names)

@@ -80,8 +80,9 @@ class TestConfigFromDict:
     def test_unknown_behavior_rejected(self):
         doc = minimal_doc()
         doc["ues"][0]["behavior"] = "sleepy"
-        with pytest.raises(ScenarioError, match="behavior"):
+        with pytest.raises(ScenarioError, match="behavior") as info:
             config_from_dict(doc)
+        assert info.value.fieldname == "ues[0].behavior"
 
     def test_zero_count_rejected(self):
         doc = minimal_doc()

@@ -12,7 +12,7 @@ from randelsim.scenario import (DESIGNS, config_from_dict, load_preset,
 from randelsim.simulation import (BACKHAUL_MSGS_FULL_REG, BACKHAUL_MSGS_REAUTH,
                                   CORE_HOPS_FULL_REG, RADIO_HOPS_FULL_REG,
                                   Attempt, Simulation)
-from randelsim.ue import UeDevice, UeProfile
+from randelsim.ue import UeCohortSpec, UeDevice
 
 # Shared link parameters for the arithmetic oracles below: 512 B at 1 MB/s
 # serializes in 1 ms, so each backhaul crossing costs 50 + 1 = 51 ms.
@@ -354,6 +354,17 @@ class TestProbationary:
         deferred = [r for r in report.rows if r.request_type == "deferred"]
         assert deferred[0].outcome == "mac-failure"
 
+    def test_failed_deferred_auth_terminates_when_it_ends(self):
+        # the deferred auth starts at the 4,034 ms poll and fails when its
+        # answer comes back; the session ends then, not at a later check
+        sim = Simulation(self.roamer_config(corrupt=True))
+        report = sim.run()
+        (deferred,) = [r for r in report.rows if r.request_type == "deferred"]
+        ended = 4034 + deferred.latency_ms
+        assert [(t, e, d) for t, _, e, d in sim.ric.access_log
+                if e == "terminated"] == [(ended, "terminated", "mac-failure")]
+        assert ended == 4307
+
     def test_ordinary_registration_ends_probation(self):
         # admitted at t=0 in an outage; the deferred auth started at ~2 s
         # loses a message and is open until ~3.5 s, while the sensor's own
@@ -376,6 +387,10 @@ class TestProbationary:
         # the device is on its own slice, so no deferred auth follows
         device = next(iter(sim.devices.values()))
         assert device.session_slice == "default"
+        # the registration that moved it off probation is in the audit log
+        assert [(e, d) for _, _, e, d in sim.ric.access_log] == [
+            ("probationary-admit", "probation:messaging"),
+            ("upgraded", "default:data")]
 
     def test_probationary_off_means_reject(self):
         cfg = self.roamer_config()
@@ -533,7 +548,7 @@ class TestScale:
         records = [device, device.profile, identity, usim, usim.k,
                    record.sequence]
         assert [type(r) for r in records] == [
-            UeDevice, UeProfile, crypto.UeIdentity, crypto.UsimState,
+            UeDevice, UeCohortSpec, crypto.UeIdentity, crypto.UsimState,
             crypto.RootSecret, crypto.SequenceState]
         assert not any(hasattr(r, "__dict__") for r in records)
 
@@ -550,6 +565,9 @@ class TestScale:
             assert members[0].profile.cohort == cohort
             profiles.append(members[0].profile)
         assert len({id(p) for p in profiles}) == 3
+        # the profile is the config's own spec, not a copy of it
+        for spec in sim.cfg.ues:
+            assert all(d.profile is spec for d in sim._cohorts[spec.cohort])
 
     def test_flooding_device_retains_under_480_bytes(self):
         cfg = flood_config(5000)

@@ -4,14 +4,18 @@ import pytest
 
 from randelsim import crypto
 from randelsim.crypto import RootSecret, SequenceState, UsimState
-from randelsim.ue import (ARRIVAL_KINDS, ArrivalSpec, UeDevice, UeProfile,
+from randelsim.ue import (ARRIVAL_KINDS, ArrivalSpec, UeCohortSpec, UeDevice,
                           cohort_arrival_times, sensor_attempt_times)
+
+
+def make_spec(behavior="interactive") -> UeCohortSpec:
+    return UeCohortSpec(cohort="c", count=1, behavior=behavior,
+                        arrival=ArrivalSpec(kind="fixed"))
 
 
 def make_device(k: bytes = b"\x11" * 32, behavior="interactive") -> UeDevice:
     identity = crypto.conceal_identity("ue-100")
-    profile = UeProfile(cohort="c", behavior=behavior,
-                        home_network="net-serving")
+    profile = make_spec(behavior)
     return UeDevice(ue_id="ue-100", profile=profile, identity=identity,
                     usim=UsimState(k=RootSecret(k)))
 
@@ -89,22 +93,20 @@ class TestUeDevice:
         theirs = crypto.build_hierarchy(av.k_derived, "net-serving",
                                         device.identity.cached_id)
         assert mine == theirs
-        assert device.k_seaf == theirs.k_seaf
+        assert device.hierarchy.k_seaf == theirs.k_seaf
 
     def test_express_response_needs_anchor(self):
         device = make_device()
         assert device.express_response(b"\x00" * 16) is None
-        device.k_seaf = b"\x22" * 32
+        anchor = device.learn_hierarchy(b"\x22" * 32, "net-serving").k_seaf
         mac = device.express_response(b"\x00" * 16)
         assert mac == crypto.express_response_mac(
-            b"\x22" * 32, device.identity.cached_id, b"\x00" * 16)
+            anchor, device.identity.cached_id, b"\x00" * 16)
 
     def test_credential_free_device_cannot_answer(self):
         identity = crypto.conceal_identity("ue-attacker")
-        profile = UeProfile(cohort="c", behavior="attacker-flood",
-                            home_network="net-serving")
-        device = UeDevice(ue_id="a", profile=profile, identity=identity,
-                          usim=None)
+        device = UeDevice(ue_id="a", profile=make_spec("attacker-flood"),
+                          identity=identity, usim=None)
         av = crypto.generate_av(RootSecret(b"\x11" * 32), SequenceState(),
                                 "net-serving", random.Random(2))
         with pytest.raises(crypto.MacFailure):
