@@ -3,9 +3,14 @@
 Registration attempts run as generator-based protocol flows. Each yield is
 the delay in ms until the flow's next step: a radio hop, a core-internal hop,
 xApp processing, or a message carried between cores by ``_cross`` (which
-yields ``None`` when the link loses the message). ``_resume`` is the one
-place that decides what comes next: the step, if it lands before the
-attempt's deadline, or else the request timeout. A step that no queued event
+yields ``None`` when the link loses the message). ``_route`` picks an
+attempt's path and returns its flow, which returns the attempt's outcome; a
+refused attempt gets a flow with no steps.
+
+``_resume`` is the one place that decides what comes next: the step, if it
+lands before the attempt's deadline, or else the request timeout. It is also
+the one place where a flow ends its attempt: when the flow returns, it
+finalizes the attempt with the flow's outcome. A step that no queued event
 comes before runs inline, on a clock moved on by ``Kernel.advance``; any
 other step is queued. Both run the same steps in the same order.
 
@@ -17,7 +22,7 @@ and 6 radio hops; a re-authentication uses 4/4/4.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import crypto
 from .backhaul import BackhaulLink
@@ -54,14 +59,8 @@ class Attempt:
     deadline: int
     timeout_seq: int  # the kernel slot the request timeout fires in
     path: str = "standard"
-    outcome: str | None = None
     backhaul_msgs: int = 0
     backhaul_bytes: int = 0
-    held_nfs: list = field(default_factory=list)
-
-    @property
-    def finalized(self) -> bool:
-        return self.outcome is not None
 
 
 class Simulation:
@@ -270,8 +269,7 @@ class Simulation:
 
     # -- attempt lifecycle -------------------------------------------------
 
-    def _start_attempt(self, device: UeDevice, request_type: str,
-                       force_standard: bool = False) -> None:
+    def _start_attempt(self, device: UeDevice, request_type: str) -> None:
         now = self.kernel.now
         # reserved now, the timeout keeps its place among same-time events
         att = Attempt(device=device, request_type=request_type, start=now,
@@ -280,11 +278,13 @@ class Simulation:
         self._open[att.timeout_seq] = att
         # one radio hop carries the request from the device to the RAN
         self.kernel.schedule(self.cfg.radio_latency_ms,
-                             lambda: self._route_attempt(att, force_standard))
+                             lambda: self._resume(att, self._route(att)))
 
-    def _route_attempt(self, att: Attempt, force_standard: bool) -> None:
+    def _route(self, att: Attempt):
+        """Pick the attempt's path now; the flow that runs it."""
         device = att.device
-        if force_standard or "routing" not in self.ric.xapps:
+        # a deferred auth settles through the core
+        if att.request_type == "deferred" or "routing" not in self.ric.xapps:
             decision, reason, entry = RoutingDecision.STANDARD, "forced", None
         else:
             request = RegistrationRequest(
@@ -295,56 +295,53 @@ class Simulation:
                 express_eligible=device.profile.express_eligible)
             decision, reason, entry = self.ric.route_registration(
                 request, self.kernel.now)
-        self._dispatch_decision(att, decision, reason, entry)
-
-    def _dispatch_decision(self, att: Attempt, decision: RoutingDecision,
-                           reason: str,
-                           entry: DecisionCacheEntry | None) -> None:
-        device = att.device
         att.path = decision.value
-        routing_delay = self.ric.xapp_delay("routing")
+        delay = self.ric.xapp_delay
+        routing_delay = delay("routing")
         if decision is RoutingDecision.STANDARD:
-            gen = self._standard_flow(att, device, routing_delay)
-        elif decision is RoutingDecision.EXPRESS:
-            gen = self._express_flow(att, device, entry,
-                                     routing_delay
-                                     + self.ric.xapp_delay("decision-cache"))
-        elif decision is RoutingDecision.DELEGATED:
-            gen = self._delegated_flow(att, device, entry,
-                                       routing_delay
-                                       + self.ric.xapp_delay("state-auth")
-                                       + self.ric.xapp_delay("session-establish"))
-        elif decision is RoutingDecision.PROBATIONARY:
-            gen = self._probationary_flow(att, device,
-                                          routing_delay
-                                          + self.ric.xapp_delay("probationary"))
-        else:
-            outcome = "filtered" if reason in ("filtered", "blacklisted") \
-                else "rejected"
-            self._finalize(att, outcome)
-            return
-        self._resume(att, gen)
+            return self._standard_flow(att, device, routing_delay)
+        if decision is RoutingDecision.EXPRESS:
+            return self._express_flow(att, device, entry, routing_delay
+                                      + delay("decision-cache"))
+        if decision is RoutingDecision.DELEGATED:
+            return self._delegated_flow(att, device, entry, routing_delay
+                                        + delay("state-auth")
+                                        + delay("session-establish"))
+        if decision is RoutingDecision.PROBATIONARY:
+            return self._probationary_flow(att, device, routing_delay
+                                           + delay("probationary"))
+        return self._refused("filtered" if reason in ("filtered", "blacklisted")
+                             else "rejected")
+
+    @staticmethod
+    def _refused(outcome: str):
+        """A flow with no steps."""
+        return outcome
+        yield  # a generator, like every other flow
 
     def _finalize(self, att: Attempt, outcome: str) -> None:
-        if att.finalized:
-            return
-        att.outcome = outcome
         del self._open[att.timeout_seq]
-        for inst in att.held_nfs:
-            self.serving.release_nf(inst)
-        att.held_nfs.clear()
         device = att.device
+        now = self.kernel.now
         self.rows.append(OutcomeRow(
             ue_id=device.ue_id, cohort=device.profile.cohort,
             request_type=att.request_type, outcome=outcome, path=att.path,
-            latency_ms=self.kernel.now - att.start,
+            latency_ms=now - att.start,
             backhaul_msgs=att.backhaul_msgs,
             backhaul_bytes=att.backhaul_bytes))
-        if att.request_type == "reauth" and outcome != "success":
+        if outcome == "success":
+            # a probationary admission is renewed by its deferred auth
+            interval = self.cfg.reauth_interval_ms
+            if (att.path != "probationary"
+                    and device.profile.behavior in ("interactive", "roamer")
+                    and now + interval <= self.cfg.horizon_ms):
+                self.kernel.schedule(
+                    interval, lambda: self._start_attempt(device, "reauth"))
+        elif att.request_type == "reauth":
             # failed re-authentication tears the session down
             device.session_slice = None
             device.session_services = frozenset()
-        elif att.request_type == "deferred":
+        if att.request_type == "deferred":
             self._deferred_inflight.discard(device.ue_id)
             if outcome in ("mac-failure", "sync-failure",
                            "subscriber-not-found"):
@@ -352,18 +349,23 @@ class Simulation:
 
     # -- flow transport ----------------------------------------------------
 
-    def _resume(self, att: Attempt, gen) -> None:
+    def _resume(self, att: Attempt, flow) -> None:
         # an inlined step may already have moved the clock on, so no caller
         # may do anything after this returns
         kernel = self.kernel
-        for delay in gen:
+        while True:
+            try:
+                delay = next(flow)
+            except StopIteration as done:
+                self._finalize(att, done.value)
+                return
             if delay is None or kernel.now + delay >= att.deadline:
                 # lost, or the next step would land on or after the deadline
                 kernel.schedule_at(att.deadline, att.timeout_seq,
                                    lambda: self._finalize(att, "timeout"))
                 return
             if not kernel.advance(delay):
-                kernel.schedule(delay, lambda: self._resume(att, gen))
+                kernel.schedule(delay, lambda: self._resume(att, flow))
                 return
             # nothing queued comes first: run the step now, in place
 
@@ -393,18 +395,13 @@ class Simulation:
         if routing_delay:
             yield routing_delay
         yield self._cross(att, "REG_REQUEST", "ran", "amf")
-        amf = self.serving.select_nf("AMF")
-        att.held_nfs.append(amf)
         yield hop  # AMF -> AUSF
-        ausf = self.serving.select_nf("AUSF")
-        att.held_nfs.append(ausf)
 
         record = self._find_record(device)
         if record is None:
             yield self._cross(att, "REG_REJECT", "amf", "ran")
             yield radio
-            self._finalize(att, "subscriber-not-found")
-            return
+            return "subscriber-not-found"
         if record.home_network == sn:
             yield hop  # AUSF -> UDM
             av = crypto.generate_av(record.root_secret, record.sequence, sn,
@@ -427,15 +424,13 @@ class Simulation:
                        else "mac-failure")
             yield radio
             yield self._cross(att, "AUTH_FAILURE", "ran", "seaf")
-            self._finalize(att, outcome)
-            return
+            return outcome
         yield radio
         yield self._cross(att, "AUTH_RESPONSE", "ran", "seaf")
         if response != av.xres:
             yield self._cross(att, "AUTH_REJECT", "seaf", "ran")
             yield radio
-            self._finalize(att, "mac-failure")
-            return
+            return "mac-failure"
 
         hierarchy = crypto.build_hierarchy(av.k_derived, sn, cid)
         k_seaf = hierarchy.k_seaf
@@ -446,9 +441,7 @@ class Simulation:
         yield radio
         if not full:
             self._store_cache_entries(device, record, k_seaf, self.kernel.now)
-            self._finalize(att, "success")
-            self._after_success(att, device)
-            return
+            return "success"
 
         yield radio
         yield self._cross(att, "SESSION_REQUEST", "ran", "amf")
@@ -462,8 +455,7 @@ class Simulation:
         except (PolicyDenied, AuthRequired):
             yield self._cross(att, "SESSION_REJECT", "smf", "ran")
             yield radio
-            self._finalize(att, "policy-denied")
-            return
+            return "policy-denied"
         yield self._cross(att, "SESSION_ACCEPT", "smf", "ran")
         yield radio
         # a deferred or an ordinary registration may end probation
@@ -472,20 +464,12 @@ class Simulation:
         device.session_slice = device.profile.slice_id
         device.session_services = record.subscription.authorized_services
         self._store_cache_entries(device, record, k_seaf, self.kernel.now)
-        self._finalize(att, "success")
         if upgraded:
             self.ric.log_access(
                 self.kernel.now, cid, "upgraded",
                 f"{device.session_slice}:"
                 f"{','.join(sorted(device.session_services))}")
-        self._after_success(att, device)
-
-    def _after_success(self, att: Attempt, device: UeDevice) -> None:
-        if device.profile.behavior in ("interactive", "roamer"):
-            interval = self.cfg.reauth_interval_ms
-            if self.kernel.now + interval <= self.cfg.horizon_ms:
-                self.kernel.schedule(
-                    interval, lambda: self._start_attempt(device, "reauth"))
+        return "success"
 
     def _local_challenge(self, device: UeDevice, entry: DecisionCacheEntry,
                          delay_ms: int):
@@ -500,40 +484,33 @@ class Simulation:
     def _express_flow(self, att: Attempt, device: UeDevice,
                       entry: DecisionCacheEntry, delay_ms: int):
         if not (yield from self._local_challenge(device, entry, delay_ms)):
-            self._finalize(att, "rejected")
-            return
+            return "rejected"
         if not entry.live(self.kernel.now):
             # entry expired mid-flow: fall back to the routing procedure
-            self._route_attempt(att, force_standard=False)
-            return
+            return (yield from self._route(att))
         self._grant_local_session(device, entry.slice_grant,
                                   device.session_services or
                                   frozenset({device.profile.service or "data"}))
         yield self.cfg.radio_latency_ms  # grant
-        self._finalize(att, "success")
-        self._after_success(att, device)
+        return "success"
 
     def _delegated_flow(self, att: Attempt, device: UeDevice,
                         entry: StateCacheEntry, delay_ms: int):
         if not (yield from self._local_challenge(device, entry, delay_ms)):
-            self._finalize(att, "rejected")
-            return
+            return "rejected"
         policy = entry.control_plane_state
         if device.profile.slice_id not in policy.allowed_slices:
-            self._finalize(att, "policy-denied")
-            return
+            return "policy-denied"
         service = device.profile.service
         if service is not None and service not in policy.authorized_services:
-            self._finalize(att, "policy-denied")
-            return
+            return "policy-denied"
         self._grant_local_session(device, device.profile.slice_id,
                                   policy.authorized_services)
         self.ric.log_access(self.kernel.now, device.identity.cached_id,
                             "delegated-grant",
                             device.profile.slice_id)
         yield self.cfg.radio_latency_ms
-        self._finalize(att, "success")
-        self._after_success(att, device)
+        return "success"
 
     def _probationary_flow(self, att: Attempt, device: UeDevice, delay_ms: int):
         yield delay_ms
@@ -544,10 +521,10 @@ class Simulation:
         self.ric.log_access(self.kernel.now, cid, "probationary-admit",
                             f"{prob.slice_id}:{','.join(sorted(prob.services))}")
         yield self.cfg.radio_latency_ms
-        self._finalize(att, "success")
         if opened:
             # a re-admission into an open session keeps its one poll
             self._schedule_deferred_poll(device)
+        return "success"
 
     def _grant_local_session(self, device: UeDevice, slice_id: str,
                              services: frozenset[str]) -> bool:
@@ -568,12 +545,11 @@ class Simulation:
         if device.session_slice != self.cfg.probationary.slice_id:
             return  # torn down, or on its own slice already
         ue_id = device.ue_id
-        if ue_id not in self._deferred_inflight \
-                and self.ric.assessor is not None:
+        if ue_id not in self._deferred_inflight:
             health = self.ric.assessor.current(self.kernel.now)
             if health.reachable:
                 self._deferred_inflight.add(ue_id)
-                self._start_attempt(device, "deferred", force_standard=True)
+                self._start_attempt(device, "deferred")
         self._schedule_deferred_poll(device)
 
     def _terminate_probationary(self, device: UeDevice, reason: str) -> None:

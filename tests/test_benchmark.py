@@ -2,9 +2,12 @@
 
 One traced iteration of each workload checks every output digest the
 benchmark pins, with the span tracer patched over the cache, routing and
-kernel, so a change that breaks either fails here first.
+kernel, so a change that breaks either fails here first. The first eight
+pinned seeds of each workload are also recomputed in-process, so a change
+that moves a byte of the benchmark's output fails here too.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -16,6 +19,31 @@ import pytest
 import randelsim
 
 ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    return json.loads((PERFBENCH / "digests.json").read_text())
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("workload", ["design_sweep", "flood_filter"])
+def test_workload_matches_its_pinned_digest(workloads, pinned, workload,
+                                            seed):
+    doc = workloads.scenario(workload, seed)
+    it = workloads.iterate(workload, doc, workloads.SetupClock())
+    assert it.digest() == pinned[workload][str(seed)]
 
 
 @pytest.mark.parametrize("workload", ["design_sweep", "flood_filter"])

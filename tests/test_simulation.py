@@ -214,8 +214,7 @@ class TestExpressPath:
             return prf(*args)
 
         def marking_finalize(att, outcome):
-            if not att.finalized:
-                ends.append(calls)
+            ends.append(calls)
             finalize(att, outcome)
 
         monkeypatch.setattr(crypto, "prf", counting_prf)
@@ -236,6 +235,22 @@ class TestExpressPath:
         report = Simulation(cfg).run()
         (row,) = report.rows
         assert (row.outcome, row.path) == ("success", "standard")
+
+    @pytest.mark.parametrize("backhaul, expected", [
+        # routed again at 31 ms: a full registration, routing included
+        ({}, ("success", "standard", 31 + 10 + 325 - 2, 6)),
+        # routed again into the outage: refused where the challenge ended
+        ({"outages": [[0, 10_000]]}, ("rejected", "reject", 31, 0)),
+    ])
+    def test_entry_expiring_mid_challenge_is_routed_again(self, backhaul,
+                                                          expected):
+        # live at the 2 ms route, expired by the end of the 31 ms challenge
+        cfg = self.prewarmed_config(horizon=10_000, backhaul=backhaul)
+        cfg.prewarm[0].ttl_ms = 20
+        report = Simulation(cfg).run()
+        (row,) = report.rows
+        assert (row.outcome, row.path, row.latency_ms,
+                row.backhaul_msgs) == expected
 
 
 class TestDelegatedPath:
