@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .crypto import KeyHierarchy, RootSecret, SequenceState, UeIdentity
+from .crypto import RootSecret, SequenceState, SessionKeys, UeIdentity
 
 
 class NfUnavailable(Exception):
@@ -66,7 +66,7 @@ class CoreNetwork:
             for kind, n in counts.items()
         }
         self._by_suci: dict[str, SubscriberRecord] = {}
-        self.seaf_hierarchies: dict[bytes, KeyHierarchy] = {}
+        self.seaf_hierarchies: dict[bytes, SessionKeys] = {}
         self.transcript: list[str] = []
 
     # -- subscribers -------------------------------------------------------

@@ -7,6 +7,12 @@ per-call objects. The root secret K lives only in SubscriberRecord (home
 network) and UsimState (device); every serving-network key derives from its
 parent plus public context, so a holder of an anchor key can produce the
 session keys without ever seeing K.
+
+Two long-lived keys hold their padded states in an ``HmacKey``, hashed once
+(RFC 2104 section 4): the root secret K, inside its ``RootSecret`` and so only
+where K is, and the per-seed master key K derives from. K_NAS holds none: it
+MACs about two express challenges, and building the states costs what
+resuming them saves on two calls. ``prf`` stays the generic reference.
 """
 
 from __future__ import annotations
@@ -14,8 +20,9 @@ from __future__ import annotations
 import hashlib
 import hmac
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 KEY_LEN = 32  # 256-bit keys everywhere
 RAND_LEN = 16
@@ -37,10 +44,12 @@ class RootSecret:
     """Per-subscriber symmetric root key. Must never appear in RAN-side types."""
 
     value: bytes
+    hmac_key: HmacKey = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.value) != KEY_LEN:
             raise ValueError("root secret must be 256 bits")
+        object.__setattr__(self, "hmac_key", HmacKey(self.value))
 
     def __repr__(self) -> str:  # keep key material out of logs
         return "RootSecret(<hidden>)"
@@ -61,16 +70,14 @@ class UsimState:
     sqn_ue: int = 0
 
 
-@dataclass(frozen=True)
-class Autn:
+class Autn(NamedTuple):
     """Network authentication token: counter plus MAC over (counter, nonce)."""
 
     sqn: int
     mac: bytes
 
 
-@dataclass(frozen=True)
-class AuthenticationVector:
+class AuthenticationVector(NamedTuple):
     rand: bytes
     autn: Autn
     xres: bytes
@@ -96,7 +103,7 @@ class SessionKeys:
 
     @cached_property
     def k_nas(self) -> bytes:
-        return derive_key(self.k_amf, "NAS", self.cached_id)
+        return derive_k_nas(self.k_seaf, self.cached_id)
 
     @cached_property
     def k_up(self) -> bytes:
@@ -105,14 +112,6 @@ class SessionKeys:
     @cached_property
     def k_rrc(self) -> bytes:
         return derive_key(self.k_seaf, "RRC", self.cached_id)
-
-
-@dataclass(frozen=True)
-class KeyHierarchy(SessionKeys):
-    """The serving network's chain for one device: K_AUSF, K_SEAF, session keys."""
-
-    k_ausf: bytes
-    serving_network: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,11 +147,40 @@ def derive_key(parent: bytes, label: str, context: bytes = b"") -> bytes:
     return prf(parent, label, context)
 
 
-# The concealment key is fixed, so its padded HMAC states are hashed once
-# (RFC 2104 section 4); the inner one has also taken the "SUCI" label.
-_CONCEAL_INNER = _sha256(_CONCEAL_KEY.ljust(_BLOCK, b"\x00").translate(_IPAD)
-                         + b"SUCI\x00")
-_CONCEAL_OUTER = _sha256(_CONCEAL_KEY.ljust(_BLOCK, b"\x00").translate(_OPAD))
+class HmacKey:
+    """One key's padded HMAC-SHA256 states, as secret as the key. ``prf``
+    resumes copies of them: the bytes of ``prf(key, label, context)``."""
+
+    __slots__ = ("_inner", "_outer")
+
+    def __init__(self, key: bytes):
+        if len(key) > _BLOCK:
+            key = _sha256(key).digest()
+        key = key.ljust(_BLOCK, b"\x00")
+        self._inner = _sha256(key.translate(_IPAD))
+        self._outer = _sha256(key.translate(_OPAD))
+
+    def prf(self, label: str, context: bytes = b"") -> bytes:
+        if not label:
+            raise ValueError("label must be nonempty")
+        inner = self._inner.copy()
+        inner.update(label.encode() + b"\x00" + context)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
+
+
+def derive_k_nas(k_seaf: bytes, cached_id: bytes) -> bytes:
+    """K_NAS by the K_SEAF -> K_AMF -> K_NAS chain (TS 33.501 Annex A)."""
+    return derive_key(derive_key(k_seaf, "AMF", cached_id), "NAS", cached_id)
+
+
+# The concealment key is fixed, so its states are hashed once; the inner one
+# has also taken the "SUCI" label.
+_CONCEAL = HmacKey(_CONCEAL_KEY)
+_CONCEAL_INNER = _CONCEAL._inner.copy()
+_CONCEAL_INNER.update(b"SUCI\x00")
+_CONCEAL_OUTER = _CONCEAL._outer
 
 
 def conceal_identity(supi: str) -> UeIdentity:
@@ -172,12 +200,8 @@ def conceal_identity(supi: str) -> UeIdentity:
     return UeIdentity(supi=supi, suci=suci, cached_id=cached_id)
 
 
-def _mac_over(k: bytes, sqn: int, rand: bytes) -> bytes:
-    return prf(k, "MAC", sqn.to_bytes(8, "big") + rand)
-
-
-def _response(k: bytes, rand: bytes) -> bytes:
-    return prf(k, "RES", rand)
+def _mac_over(k: HmacKey, sqn: int, rand: bytes) -> bytes:
+    return k.prf("MAC", sqn.to_bytes(8, "big") + rand)
 
 
 def generate_av(root: RootSecret, sequence: SequenceState, serving_network: str,
@@ -188,10 +212,10 @@ def generate_av(root: RootSecret, sequence: SequenceState, serving_network: str,
     rand = rng.randbytes(RAND_LEN)
     sequence.sqn_network += 1
     sqn = sequence.sqn_network
-    autn = Autn(sqn=sqn, mac=_mac_over(root.value, sqn, rand))
-    xres = _response(root.value, rand)
-    k_ausf = derive_key(root.value, "AUSF", serving_network.encode() + rand)
-    return AuthenticationVector(rand=rand, autn=autn, xres=xres, k_derived=k_ausf)
+    k = root.hmac_key
+    autn = Autn(sqn, _mac_over(k, sqn, rand))
+    k_ausf = k.prf("AUSF", serving_network.encode() + rand)
+    return AuthenticationVector(rand, autn, k.prf("RES", rand), k_ausf)
 
 
 def derive_k_seaf(k_ausf: bytes, serving_network: str) -> bytes:
@@ -203,10 +227,10 @@ def derive_session_keys(k_seaf: bytes, cached_id: bytes) -> SessionKeys:
     return SessionKeys(k_seaf=k_seaf, cached_id=cached_id)
 
 
-def build_hierarchy(k_ausf: bytes, serving_network: str, cached_id: bytes) -> KeyHierarchy:
-    return KeyHierarchy(k_seaf=derive_k_seaf(k_ausf, serving_network),
-                        cached_id=cached_id, k_ausf=k_ausf,
-                        serving_network=serving_network)
+def build_hierarchy(k_ausf: bytes, serving_network: str,
+                    cached_id: bytes) -> SessionKeys:
+    """The serving network's keys below K_AUSF, which stays in the AUSF."""
+    return SessionKeys(derive_k_seaf(k_ausf, serving_network), cached_id)
 
 
 def ue_verify_and_respond(usim: UsimState, rand: bytes, autn: Autn) -> bytes:
@@ -214,13 +238,13 @@ def ue_verify_and_respond(usim: UsimState, rand: bytes, autn: Autn) -> bytes:
 
     Raises MacFailure on a wrong key, SyncFailure on a stale (replayed) counter.
     """
-    expected_mac = _mac_over(usim.k.value, autn.sqn, rand)
+    expected_mac = _mac_over(usim.k.hmac_key, autn.sqn, rand)
     if not hmac.compare_digest(expected_mac, autn.mac):
         raise MacFailure("authentication token MAC mismatch")
     if autn.sqn <= usim.sqn_ue:
         raise SyncFailure("sequence number not fresh")
     usim.sqn_ue = autn.sqn
-    return _response(usim.k.value, rand)
+    return usim.k.hmac_key.prf("RES", rand)
 
 
 def express_mac(k_nas: bytes, nonce: bytes) -> bytes:
@@ -230,4 +254,4 @@ def express_mac(k_nas: bytes, nonce: bytes) -> bytes:
 
 def express_response_mac(k_seaf: bytes, cached_id: bytes, nonce: bytes) -> bytes:
     """``express_mac`` under the K_NAS derived from the anchor."""
-    return express_mac(derive_session_keys(k_seaf, cached_id).k_nas, nonce)
+    return express_mac(derive_k_nas(k_seaf, cached_id), nonce)

@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .backhaul import BackhaulLink
 from .core import SubscriptionPolicy
-from .crypto import RootSecret, derive_session_keys
+from .crypto import RootSecret, derive_k_nas
 
 XAPP_DELAY_MIN_MS = 10
 XAPP_DELAY_MAX_MS = 1000
@@ -66,7 +66,7 @@ class DecisionCacheEntry:
     @cached_property
     def k_nas(self) -> bytes:
         """Derived from the cached anchor once per entry; not a field."""
-        return derive_session_keys(self.k_seaf, self.cached_id).k_nas
+        return derive_k_nas(self.k_seaf, self.cached_id)
 
     def live(self, now: int) -> bool:
         return now < self.created_at + self.ttl
@@ -346,14 +346,15 @@ class Ric:
         return self.cache.dump(now) if self.cache is not None else []
 
 
-def audit_type_for_root_secret(tp: type, _seen: set | None = None) -> list[str]:
-    """Structural audit: dataclass field paths reaching RootSecret, if any."""
+def audit_type_for_root_secret(tp: type, _seen: set | None = None,
+                               target: type = RootSecret) -> list[str]:
+    """Structural audit: dataclass field paths reaching ``target``, if any."""
     seen = _seen if _seen is not None else set()
     if tp in seen:
         return []
     seen.add(tp)
     hits: list[str] = []
-    if tp is RootSecret:
+    if tp is target:
         return ["<self>"]
     if not dataclasses.is_dataclass(tp):
         return []
@@ -364,11 +365,11 @@ def audit_type_for_root_secret(tp: type, _seen: set | None = None) -> list[str]:
     for f in dataclasses.fields(tp):
         ftype = hints.get(f.name, f.type)
         for sub in _walk_types(ftype):
-            if sub is RootSecret:
+            if sub is target:
                 hits.append(f.name)
             elif dataclasses.is_dataclass(sub):
                 hits.extend(f"{f.name}.{h}" for h in
-                            audit_type_for_root_secret(sub, seen))
+                            audit_type_for_root_secret(sub, seen, target))
     return hits
 
 

@@ -46,11 +46,6 @@ RADIO_HOPS_REAUTH = 4
 HOME_MSGS_REFERRAL = 2
 
 
-def subscriber_root_secret(seed: int, supi: str) -> RootSecret:
-    master = hashlib.sha256(f"randelsim/root/{seed}".encode()).digest()
-    return RootSecret(crypto.prf(master, "K", supi.encode()))
-
-
 @dataclass(slots=True)
 class Attempt:
     device: UeDevice
@@ -131,6 +126,9 @@ class Simulation:
 
     def _build_population(self) -> None:
         atk_rng = self.kernel.stream("attacker-keys")
+        # every subscriber's K derives from this run's one master key
+        master = crypto.HmacKey(
+            hashlib.sha256(f"randelsim/root/{self.seed}".encode()).digest())
         sn = self.cfg.serving_network
         for spec in self.cfg.ues:
             home = spec.home_network or sn
@@ -148,7 +146,7 @@ class Simulation:
                 identity = crypto.conceal_identity(supi)
                 usim = None
                 if subscribed:
-                    k = subscriber_root_secret(self.seed, supi)
+                    k = RootSecret(master.prf("K", supi.encode()))
                     core.add_subscriber(SubscriberRecord(
                         identity=identity, root_secret=k,
                         sequence=SequenceState(), subscription=policy,
@@ -172,9 +170,9 @@ class Simulation:
                 if record is None:
                     continue
                 # provisioning models a prior successful authentication
-                rand = crypto.prf(record.root_secret.value, "PREWARM", sn.encode())
-                k_ausf = crypto.derive_key(record.root_secret.value, "AUSF",
-                                           sn.encode() + rand[:16])
+                k = record.root_secret.hmac_key
+                rand = k.prf("PREWARM", sn.encode())
+                k_ausf = k.prf("AUSF", sn.encode() + rand[:16])
                 k_seaf = device.learn_hierarchy(k_ausf, sn).k_seaf
                 self._store_cache_entries(device, record, k_seaf, 0,
                                           ttl=pw.ttl_ms)

@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import crypto
-from .crypto import KeyHierarchy, UeIdentity, UsimState
+from .crypto import SessionKeys, UeIdentity, UsimState
 
 BEHAVIORS = ("interactive", "periodic-sensor", "roamer", "attacker-flood")
 ARRIVAL_KINDS = ("fixed", "burst", "poisson", "flood")
@@ -70,7 +70,7 @@ class UeDevice:
     profile: UeCohortSpec
     identity: UeIdentity
     usim: UsimState | None  # attackers: no subscription, no credentials
-    hierarchy: KeyHierarchy | None = None
+    hierarchy: SessionKeys | None = None
     session_slice: str | None = None
     session_services: frozenset[str] = frozenset()
 
@@ -79,18 +79,18 @@ class UeDevice:
             raise crypto.MacFailure("device has no credentials")
         return crypto.ue_verify_and_respond(self.usim, rand, autn)
 
-    def learn_hierarchy(self, k_ausf: bytes, serving_network: str) -> KeyHierarchy:
+    def learn_hierarchy(self, k_ausf: bytes, serving_network: str) -> SessionKeys:
         self.hierarchy = crypto.build_hierarchy(k_ausf, serving_network,
                                                 self.identity.cached_id)
         return self.hierarchy
 
     def derive_hierarchy_from_challenge(self, rand: bytes,
-                                        serving_network: str) -> KeyHierarchy:
+                                        serving_network: str) -> SessionKeys:
         """Device-side chain, computed from its own root secret only."""
         if self.usim is None:
             raise crypto.MacFailure("device has no credentials")
-        k_ausf = crypto.derive_key(self.usim.k.value, "AUSF",
-                                   serving_network.encode() + rand)
+        k_ausf = self.usim.k.hmac_key.prf("AUSF",
+                                          serving_network.encode() + rand)
         return self.learn_hierarchy(k_ausf, serving_network)
 
     def express_response(self, nonce: bytes) -> bytes | None:

@@ -40,6 +40,15 @@ class TestDeriveKey:
             got = crypto.prf(bytes.fromhex(parent_hex), label, ctx)
             assert got.hex() == expected_hex, label
 
+    def test_golden_vectors_through_hmac_key(self):
+        for line in VECTORS.read_text().splitlines():
+            if not line or line.startswith("#"):
+                continue
+            label, parent_hex, ctx_hex, expected_hex = line.split()
+            ctx = b"" if ctx_hex == "-" else bytes.fromhex(ctx_hex)
+            got = crypto.HmacKey(bytes.fromhex(parent_hex)).prf(label, ctx)
+            assert got.hex() == expected_hex, label
+
 
 class TestGenerateAv:
     def test_sequence_strictly_increases(self):
@@ -189,6 +198,42 @@ def test_prf_is_hmac_sha256(key, label, context):
     expected = hmac.new(key, label.encode() + b"\x00" + context,
                         hashlib.sha256).digest()
     assert crypto.prf(key, label, context) == expected
+
+
+# every label a key is used under in src/
+LABELS = ("K", "MAC", "RES", "AUSF", "PREWARM", "SEAF", "AMF", "NAS", "UP",
+          "RRC", "EXPRESS-RESP")
+
+
+@given(st.binary(max_size=200), st.sampled_from(LABELS),
+       st.binary(max_size=64))
+@example(b"", "MAC", b"")
+@example(b"\x01" * 32, "RES", b"ctx")  # the size of every key in a run
+@example(b"\x01" * 64, "AUSF", b"ctx")  # exactly one block: used as is
+@example(b"\x01" * 65, "K", b"ctx")  # one byte over: hashed first
+def test_hmac_key_matches_prf(key, label, context):
+    expected = hmac.new(key, label.encode() + b"\x00" + context,
+                        hashlib.sha256).digest()
+    keyed = crypto.HmacKey(key)
+    assert keyed.prf(label, context) == crypto.prf(key, label, context) \
+        == expected
+    # resuming copies leaves the held states as they were
+    assert keyed.prf(label, context) == expected
+
+
+def test_hmac_key_rejects_empty_label():
+    with pytest.raises(ValueError):
+        crypto.HmacKey(b"\x00" * 32).prf("")
+    with pytest.raises(ValueError):
+        crypto.prf(b"\x00" * 32, "")
+
+
+def test_root_secret_compares_and_prints_its_value_only():
+    k = b"\x0f" * 32
+    assert RootSecret(k) == RootSecret(k)
+    assert hash(RootSecret(k)) == hash(RootSecret(k))
+    assert RootSecret(k) != RootSecret(b"\x10" * 32)
+    assert repr(RootSecret(k)) == "RootSecret(<hidden>)"
 
 
 @given(st.integers(min_value=0, max_value=1000))

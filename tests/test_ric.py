@@ -297,6 +297,19 @@ class TestStructuralAudit:
         from randelsim.core import SubscriberRecord
         assert audit_type_for_root_secret(SubscriberRecord) != []
 
+    def test_only_the_subscriber_record_reaches_root_key_states(self):
+        # K's padded HMAC states are as secret as K
+        from randelsim.core import SubscriberRecord
+        from randelsim.crypto import HmacKey
+        from randelsim.ric import (BackhaulHealth, DecisionCacheEntry,
+                                   RegistrationRequest, StateCacheEntry,
+                                   XAppDescriptor)
+        for tp in (DecisionCacheEntry, StateCacheEntry, BackhaulHealth,
+                   XAppDescriptor, RegistrationRequest):
+            assert audit_type_for_root_secret(tp, target=HmacKey) == []
+        assert audit_type_for_root_secret(SubscriberRecord, target=HmacKey) \
+            == ["root_secret.hmac_key"]
+
 
 def test_cache_dump_format():
     cache = TtlCache(10_000)

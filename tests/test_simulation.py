@@ -206,18 +206,23 @@ class TestExpressPath:
                           cohorts=[one_ue(express_eligible=True)])
         sim = Simulation(cfg)
         calls, ends = 0, []
-        prf, finalize = crypto.prf, sim._finalize
+        finalize = sim._finalize
 
-        def counting_prf(*args):
-            nonlocal calls
-            calls += 1
-            return prf(*args)
+        def counting(prf):
+            def counted(*args):
+                nonlocal calls
+                calls += 1
+                return prf(*args)
+            return counted
 
         def marking_finalize(att, outcome):
             ends.append(calls)
             finalize(att, outcome)
 
-        monkeypatch.setattr(crypto, "prf", counting_prf)
+        monkeypatch.setattr(crypto, "prf", counting(crypto.prf))
+        # a call resumed from a key's held states is a PRF call too
+        monkeypatch.setattr(crypto.HmacKey, "prf",
+                            counting(crypto.HmacKey.prf))
         sim._finalize = marking_finalize
         report = sim.run()
         per_attempt = [b - a for a, b in zip([0] + ends, ends)]
