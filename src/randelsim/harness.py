@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .metrics import MetricsReport, percentile
 from .scenario import DESIGNS, ScenarioConfig
-from .simulation import Simulation
+from .simulation import Population, Simulation
 
 COMPARE_COLUMNS = ("design", "success_rate", "p95_latency_ms",
                    "total_backhaul_bytes", "audit_flags")
@@ -49,10 +49,17 @@ class DesignComparison:
 
 def compare_designs(config: ScenarioConfig,
                     seed: int | None = None) -> DesignComparison:
-    """Same workload and seed under all four designs, side by side."""
+    """Same workload and seed under all four designs, side by side.
+
+    The four runs share one population: identities and root secrets are
+    built once, in the first run, since no design changes them.
+    """
     seed = config.seed if seed is None else seed
-    reports = {
-        design: run_scenario(config.with_overrides(design=design), seed=seed)
-        for design in DESIGNS
-    }
+    # every design's config is checked before the first run starts
+    configs = {design: config.with_overrides(design=design)
+               for design in DESIGNS}
+    population = Population(config.ues, seed)
+    reports = {design: Simulation(cfg, seed=seed,
+                                  population=population).run()
+               for design, cfg in configs.items()}
     return DesignComparison(scenario=config.name, seed=seed, reports=reports)

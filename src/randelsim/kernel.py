@@ -7,6 +7,12 @@ import random
 from typing import Callable
 
 
+def seeded_stream(seed: int, label: str) -> random.Random:
+    """The RNG of ``label`` under ``seed``; the same pair, the same draws."""
+    # str seeding hashes via sha512, stable across platforms
+    return random.Random(f"{seed}/{label}")
+
+
 class Kernel:
     """Single event queue, single virtual clock, seeded random streams.
 
@@ -90,8 +96,7 @@ class Kernel:
     def stream(self, label: str) -> random.Random:
         """Independent deterministic RNG per label; same seed+label, same draws."""
         if label not in self._streams:
-            # str seeding hashes via sha512, stable across platforms
-            self._streams[label] = random.Random(f"{self.seed}/{label}")
+            self._streams[label] = seeded_stream(self.seed, label)
         return self._streams[label]
 
     def pending(self) -> int:

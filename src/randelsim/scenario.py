@@ -21,7 +21,8 @@ from pathlib import Path
 
 from .backhaul import BackhaulProfile
 from .core import SubscriptionPolicy
-from .ric import DEFAULT_XAPP_DELAYS, InvalidBudget, XAppDescriptor
+from .ric import (DEFAULT_XAPP_DELAYS, DESIGN_XAPPS, InvalidBudget,
+                  XAppDescriptor)
 from .ue import UeCohortSpec
 
 DESIGNS = ("baseline", "colocated", "decision-cache", "logic-replication")
@@ -89,6 +90,9 @@ class ScenarioConfig:
     probationary: ProbationaryPolicy = field(default_factory=ProbationaryPolicy)
     prewarm: list[PrewarmSpec] = field(default_factory=list)
     xapp_delays_ms: dict[str, int] = field(default_factory=dict)
+    # a config whose attempt_bound() exceeds this is rejected, so every
+    # valid scenario finishes; it also bounds the devices built
+    max_attempts: int = field(default=1_000_000, metadata={"min": 1})
 
     def __post_init__(self):
         if self.design not in DESIGNS:
@@ -132,6 +136,51 @@ class ScenarioConfig:
                 XAppDescriptor(xapp, delay)
             except InvalidBudget as exc:
                 raise ScenarioError(where, str(exc)) from exc
+        terms = self._attempt_terms()
+        bound = sum(terms.values())
+        if bound > self.max_attempts:
+            raise ScenarioError(
+                max(terms, key=terms.get),
+                f"allows up to {bound} attempts within horizon_ms "
+                f"{self.horizon_ms}, more than max_attempts "
+                f"{self.max_attempts}")
+
+    def _attempt_terms(self) -> dict[str, int]:
+        """``attempt_bound()`` split by the field that governs each part."""
+        horizon = self.horizon_ms
+        xapps = DESIGN_XAPPS[self.design]
+        polls = horizon // self.thresholds.probe_interval_ms
+        probation = self.probationary.enabled and "probationary" in xapps
+        terms = {"reauth_interval_ms": 0, "thresholds.probe_interval_ms": 0}
+        for i, spec in enumerate(self.ues):
+            # each device's first attempt
+            terms[f"ues[{i}].count"] = spec.count
+            if spec.behavior == "periodic-sensor":
+                terms[f"ues[{i}].period_ms"] = spec.count * (
+                    -(-horizon // spec.period_ms) - 1)
+            elif spec.behavior in ("interactive", "roamer"):
+                terms["reauth_interval_ms"] += spec.count * (
+                    horizon // self.reauth_interval_ms)
+            if probation and spec.home_network not in (None,
+                                                       self.serving_network):
+                terms["thresholds.probe_interval_ms"] += spec.count * polls
+        if "backhaul-assessor" in xapps:
+            terms["thresholds.probe_interval_ms"] += polls + 1
+        return terms
+
+    def attempt_bound(self) -> int:
+        """An upper bound on the attempts a run makes, plus its probes.
+
+        A sensor attempts once per period from its arrival to the horizon.
+        A user or roamer registers once, then re-authenticates at most once
+        per ``reauth_interval_ms``: each re-authentication is scheduled that
+        long after the one before ends. An attacker attempts once. Where the
+        probationary xApp runs, a device of another home network may be
+        admitted on probation, and its poll starts at most one deferred
+        attempt per ``probe_interval_ms``. Where the assessor runs, each
+        probe wake-up counts as one more, since it is work the run does.
+        """
+        return sum(self._attempt_terms().values())
 
     def message_size(self, msg_type: str) -> int:
         return self.message_bytes.get(msg_type,

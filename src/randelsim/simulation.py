@@ -14,6 +14,10 @@ finalizes the attempt with the flow's outcome. A step that no queued event
 comes before runs inline, on a clock moved on by ``Kernel.advance``; any
 other step is queued. Both run the same steps in the same order.
 
+A ``Population`` holds what no design changes: each device's concealed
+identity and root secrets. The four runs of ``compare_designs`` share one,
+and each run builds its own mutable records and devices from it.
+
 Frozen flow constants (verified by the instrumented single-UE oracle trace):
 a full registration crosses the backhaul 6 times with 7 core-internal hops
 and 6 radio hops; a re-authentication uses 4/4/4.
@@ -23,19 +27,23 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from . import crypto
 from .backhaul import BackhaulLink
 from .core import (AuthRequired, CoreNetwork, PolicyDenied, SubscriberRecord,
                    SubscriptionPolicy)
-from .crypto import MacFailure, RootSecret, SequenceState, SyncFailure, UsimState
-from .kernel import Kernel
+from .crypto import (MacFailure, RootSecret, SequenceState, SyncFailure,
+                     UeIdentity, UsimState)
+from .kernel import Kernel, seeded_stream
 from .metrics import MetricsReport, OutcomeRow
 from .ric import (DEFAULT_XAPP_DELAYS, DESIGN_XAPPS, BackhaulAssessor,
                   DecisionCacheEntry, DosFilter, RegistrationRequest, Ric,
                   RoutingDecision, StateCacheEntry, TtlCache, XAppDescriptor)
 from .scenario import ScenarioConfig
-from .ue import UeDevice, cohort_arrival_times, sensor_attempt_times
+from .ue import (UeCohortSpec, UeDevice, cohort_arrival_times,
+                 sensor_attempt_times)
 
 BACKHAUL_MSGS_FULL_REG = 6
 BACKHAUL_MSGS_REAUTH = 4
@@ -58,12 +66,72 @@ class Attempt:
     backhaul_bytes: int = 0
 
 
-class Simulation:
-    """One deterministic run of a scenario under one design."""
+class CohortKeys(NamedTuple):
+    """One cohort's devices in order: identities and the K each side holds."""
 
-    def __init__(self, config: ScenarioConfig, seed: int | None = None):
+    identities: list[UeIdentity]
+    home_keys: list[RootSecret] | None  # None: an attacker holds no K
+    device_keys: list[RootSecret] | None  # home_keys itself unless corrupt
+
+
+@dataclass(frozen=True, eq=False)
+class Population:
+    """The part of a scenario's devices that no design changes.
+
+    Per cohort: each device's concealed identity, the root secret K its home
+    network holds and the one its USIM holds. It is built on first read and
+    never changes, so one population serves every run of the same ``ues``
+    and seed; each ``Simulation`` builds its own mutable records from it.
+    It holds K, so no simulation keeps it after construction.
+    """
+
+    ues: tuple[UeCohortSpec, ...]
+    seed: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "ues", tuple(self.ues))
+
+    @cached_property
+    def cohorts(self) -> dict[str, CohortKeys]:
+        # every subscriber's K derives from this seed's one master key
+        master = crypto.HmacKey(
+            hashlib.sha256(f"randelsim/root/{self.seed}".encode()).digest())
+        atk_rng = seeded_stream(self.seed, "attacker-keys")
+        cohorts = {}
+        for spec in self.ues:
+            identities = [crypto.conceal_identity(f"{spec.cohort}-{i + 1:04d}")
+                          for i in range(spec.count)]
+            home_keys = device_keys = None
+            # an attacker has no subscription, so it holds no credentials
+            if spec.behavior != "attacker-flood":
+                home_keys = device_keys = [
+                    RootSecret(master.prf("K", identity.supi.encode()))
+                    for identity in identities]
+                if spec.corrupt_key:
+                    device_keys = [RootSecret(atk_rng.randbytes(32))
+                                   for _ in identities]
+            cohorts[spec.cohort] = CohortKeys(identities, home_keys,
+                                              device_keys)
+        return cohorts
+
+
+class Simulation:
+    """One deterministic run of a scenario under one design.
+
+    ``population`` may be shared with other runs of the same ``ues`` and
+    seed; without one, the run builds its own.
+    """
+
+    def __init__(self, config: ScenarioConfig, seed: int | None = None, *,
+                 population: Population | None = None):
         self.cfg = config
         self.seed = config.seed if seed is None else seed
+        if population is None:
+            population = Population(config.ues, self.seed)
+        elif (population.seed != self.seed
+              or population.ues != tuple(config.ues)):
+            raise ValueError("population was built for another seed or "
+                             "other ues")
         self.kernel = Kernel(self.seed)
         self.colocated = config.design == "colocated"
 
@@ -92,7 +160,7 @@ class Simulation:
         self._deferred_inflight: set[str] = set()
 
         self.ric = self._build_ric()
-        self._build_population()
+        self._build_population(population)
         self._prewarm_caches()
 
     # -- construction ------------------------------------------------------
@@ -124,36 +192,29 @@ class Simulation:
             self.home_cores[network_id] = CoreNetwork(network_id)
         return self.home_cores[network_id]
 
-    def _build_population(self) -> None:
-        atk_rng = self.kernel.stream("attacker-keys")
-        # every subscriber's K derives from this run's one master key
-        master = crypto.HmacKey(
-            hashlib.sha256(f"randelsim/root/{self.seed}".encode()).digest())
+    def _build_population(self, population: Population) -> None:
+        """This run's subscriber records, counters, USIMs and devices."""
         sn = self.cfg.serving_network
         for spec in self.cfg.ues:
+            identities, home_keys, device_keys = \
+                population.cohorts[spec.cohort]
             home = spec.home_network or sn
-            # an attacker has no subscription, so it holds no credentials
-            subscribed = spec.behavior != "attacker-flood"
-            if subscribed:
+            if home_keys is not None:
                 policy = SubscriptionPolicy(
                     allowed_slices=frozenset(spec.allowed_slices),
                     authorized_services=frozenset(spec.authorized_services),
                     qos_class=spec.qos_class)
                 core = self.serving if home == sn else self._home_core(home)
             members = self._cohorts[spec.cohort] = []
-            for i in range(spec.count):
-                supi = f"{spec.cohort}-{i + 1:04d}"
-                identity = crypto.conceal_identity(supi)
+            for i, identity in enumerate(identities):
                 usim = None
-                if subscribed:
-                    k = RootSecret(master.prf("K", supi.encode()))
+                if home_keys is not None:
                     core.add_subscriber(SubscriberRecord(
-                        identity=identity, root_secret=k,
+                        identity=identity, root_secret=home_keys[i],
                         sequence=SequenceState(), subscription=policy,
                         home_network=home))
-                    if spec.corrupt_key:
-                        k = RootSecret(atk_rng.randbytes(32))
-                    usim = UsimState(k)
+                    usim = UsimState(device_keys[i])
+                supi = identity.supi
                 device = self.devices[supi] = UeDevice(supi, spec, identity,
                                                        usim)
                 members.append(device)

@@ -7,7 +7,6 @@ pinned seeds of each workload are also recomputed in-process, so a change
 that moves a byte of the benchmark's output fails here too.
 """
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -20,16 +19,6 @@ import randelsim
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", PERFBENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.fixture(scope="module")

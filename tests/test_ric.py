@@ -310,6 +310,16 @@ class TestStructuralAudit:
         assert audit_type_for_root_secret(SubscriberRecord, target=HmacKey) \
             == ["root_secret.hmac_key"]
 
+    def test_no_ran_side_type_reaches_a_population(self):
+        # a population holds every subscriber's K
+        from randelsim.ric import (BackhaulHealth, DecisionCacheEntry,
+                                   RegistrationRequest, StateCacheEntry,
+                                   XAppDescriptor)
+        from randelsim.simulation import Population
+        for tp in (DecisionCacheEntry, StateCacheEntry, BackhaulHealth,
+                   XAppDescriptor, RegistrationRequest):
+            assert audit_type_for_root_secret(tp, target=Population) == []
+
 
 def test_cache_dump_format():
     cache = TtlCache(10_000)

@@ -1,15 +1,18 @@
 import copy
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randelsim.scenario import (DESIGNS, ScenarioError, config_from_dict,
-                                load_preset, load_scenario, preset_names,
-                                preset_path)
-from randelsim.simulation import Simulation
+from randelsim.cli import main
+from randelsim.harness import compare_designs
+from randelsim.scenario import (DESIGNS, MAX_JSON_INT, ScenarioError,
+                                config_from_dict, load_preset, load_scenario,
+                                preset_names, preset_path)
 
 
 def minimal_doc(**overrides) -> dict:
@@ -195,11 +198,13 @@ PRESET_DOCS = {name: json.loads(preset_path(name).read_text())
 ODD_VALUES = [0, -1, 1, 2.5, "x", True, None, [], {}]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_one_mutation_is_rejected_or_constructs(data):
+def test_one_mutation_is_rejected_or_runs(data):
     doc = copy.deepcopy(PRESET_DOCS[data.draw(st.sampled_from(
         sorted(PRESET_DOCS)))])
+    # every preset fits this budget, so the runs stay short
+    doc["max_attempts"] = 2000
     nodes = list(_nodes(doc))
     value = data.draw(st.sampled_from(ODD_VALUES))
     if data.draw(st.booleans()):
@@ -212,11 +217,70 @@ def test_one_mutation_is_rejected_or_constructs(data):
         _, target = data.draw(st.sampled_from(
             [n for n in nodes if isinstance(n[1], dict)]))
         target["unknown_key"] = value
-    try:
-        cfg = config_from_dict(doc)
-    except ScenarioError:
-        return
-    Simulation(cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        code = main(["run", "--scenario", str(scenario),
+                     "--out", str(Path(tmp) / "out.csv")])
+    assert code in (0, 2)  # run, or rejected by validation; never a failure
+
+
+class TestRunBudget:
+    @pytest.mark.parametrize("name", ["disaster", "flash_crowd", "ntn", "zta"])
+    def test_bound_covers_every_preset_run(self, name):
+        cfg = load_preset(name)
+        for seed in (1, 2, 3):
+            for design, report in compare_designs(cfg, seed).reports.items():
+                bound = cfg.with_overrides(design=design).attempt_bound()
+                assert bound >= len(report.rows), (design, seed)
+
+    @pytest.mark.parametrize("workload", ["design_sweep", "flood_filter"])
+    def test_bound_covers_both_benchmark_workloads(self, workloads, workload):
+        doc = workloads.scenario(workload, 1)
+        it = workloads.iterate(workload, doc, workloads.SetupClock())
+        cfg = config_from_dict(workloads.scenario(workload, 1))
+        for report in it.reports:
+            bounded = cfg.with_overrides(design=report.design)
+            assert bounded.attempt_bound() >= len(report.rows)
+
+    def test_bound_at_the_limit_is_accepted(self):
+        cfg = config_from_dict(minimal_doc(reauth_interval_ms=1000))
+        # 2 devices: 2 registrations and 2 * 10 re-authentications
+        assert cfg.attempt_bound() == 22
+        replace(cfg, max_attempts=22)
+        with pytest.raises(ScenarioError) as info:
+            replace(cfg, max_attempts=21)
+        assert info.value.fieldname == "reauth_interval_ms"
+
+    @pytest.mark.parametrize("horizon, cohort, field", [
+        (10_000, {"count": MAX_JSON_INT}, "ues[0].count"),
+        (MAX_JSON_INT, {"count": 1}, "reauth_interval_ms"),
+        (MAX_JSON_INT, {"behavior": "periodic-sensor", "period_ms": 1},
+         "ues[0].period_ms"),
+        (10_000, {"behavior": "attacker-flood", "count": 2_000_000,
+                  "arrival": {"kind": "flood", "rate_per_s": 1000}},
+         "ues[0].count"),
+    ])
+    def test_rejects_before_building_and_names_the_dominant_field(
+            self, horizon, cohort, field):
+        doc = minimal_doc(horizon_ms=horizon)
+        doc["ues"][0].update(cohort)
+        with pytest.raises(ScenarioError) as info:
+            config_from_dict(doc)
+        assert info.value.fieldname == field
+
+    def test_probation_polls_count_only_where_they_can_run(self):
+        roamers = {"cohort": "r", "count": 10, "behavior": "roamer",
+                   "home_network": "net-home",
+                   "arrival": {"kind": "fixed", "time_ms": 0}}
+        doc = minimal_doc(ues=[roamers], probationary={"enabled": True},
+                          thresholds={"probe_interval_ms": 1})
+        # baseline runs neither the probationary xApp nor the assessor
+        assert config_from_dict(doc).attempt_bound() == 10
+        doc["max_attempts"] = 2000
+        with pytest.raises(ScenarioError) as info:
+            config_from_dict(dict(doc, design="logic-replication"))
+        assert info.value.fieldname == "thresholds.probe_interval_ms"
 
 
 class TestPresets:

@@ -6,12 +6,13 @@ import weakref
 import pytest
 
 from randelsim import crypto
+from randelsim.harness import compare_designs, run_scenario
 from randelsim.kernel import Kernel
 from randelsim.scenario import (DESIGNS, config_from_dict, load_preset,
                                 preset_names)
 from randelsim.simulation import (BACKHAUL_MSGS_FULL_REG, BACKHAUL_MSGS_REAUTH,
                                   CORE_HOPS_FULL_REG, RADIO_HOPS_FULL_REG,
-                                  Attempt, Simulation)
+                                  Attempt, Population, Simulation)
 from randelsim.ue import UeCohortSpec, UeDevice
 
 # Shared link parameters for the arithmetic oracles below: 512 B at 1 MB/s
@@ -606,12 +607,19 @@ class TestScale:
 
 class TestCredentials:
     def test_flooding_devices_hold_no_credentials(self):
-        sim = Simulation(flood_config(50))
+        cfg = flood_config(50)
+        sim = Simulation(cfg)
         assert all(d.usim is None for d in sim.devices.values())
-        # building the cohort drew nothing from the junk-key stream
-        fresh = Kernel(sim.seed).stream("attacker-keys")
-        assert (sim.kernel.stream("attacker-keys").getstate()
-                == fresh.getstate())
+        # building the cohort drew nothing from the junk-key stream: a
+        # corrupt cohort after it gets the keys it gets on its own
+        corrupt = UeCohortSpec(cohort="corrupt", count=3,
+                               behavior="interactive",
+                               arrival=cfg.ues[0].arrival, corrupt_key=True)
+        alone = Population([corrupt], sim.seed).cohorts["corrupt"]
+        after = Population([*cfg.ues, corrupt], sim.seed).cohorts
+        assert after["attackers"][1:] == (None, None)
+        assert ([k.value for k in after["corrupt"].device_keys]
+                == [k.value for k in alone.device_keys])
 
     def test_corrupt_keys_after_a_flood_still_fail_the_mac(self):
         cohorts = [one_ue(cohort="attackers", count=5,
@@ -629,6 +637,74 @@ class TestCredentials:
             outcomes.setdefault(row.cohort, []).append(row.outcome)
         assert outcomes["corrupt"] == ["mac-failure"] * 4
         assert outcomes["attackers"] == ["subscriber-not-found"] * 5
+
+
+class TestPopulation:
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    @pytest.mark.parametrize("preset", preset_names())
+    def test_a_shared_population_changes_no_run(self, preset, seed):
+        cfg = load_preset(preset)
+        comparison = compare_designs(cfg, seed=seed)
+        for design in DESIGNS:
+            alone = run_scenario(cfg.with_overrides(design=design), seed=seed)
+            shared = comparison.reports[design]
+            assert shared.to_csv() == alone.to_csv()
+            assert shared.aggregates == alone.aggregates
+
+    def test_one_comparison_conceals_each_identity_once(self, workloads,
+                                                        monkeypatch):
+        concealed = []
+        conceal = crypto.conceal_identity
+
+        def counting(supi):
+            concealed.append(supi)
+            return conceal(supi)
+
+        monkeypatch.setattr(crypto, "conceal_identity", counting)
+        cfg = config_from_dict(workloads.scenario("design_sweep", 1))
+        compare_designs(cfg)
+        assert len(concealed) == 250 + 50 + 15
+        # the next comparison builds its own: nothing outlives a call
+        compare_designs(cfg)
+        assert len(concealed) == 2 * 315
+
+    def test_a_population_for_another_run_is_refused(self):
+        cfg = make_config(cohorts=[one_ue(count=3)])
+        with pytest.raises(ValueError):
+            Simulation(cfg, population=Population(cfg.ues, cfg.seed + 1))
+        other = make_config(cohorts=[one_ue(count=4)])
+        with pytest.raises(ValueError):
+            Simulation(cfg, population=Population(other.ues, cfg.seed))
+        # cohorts compare by value, and the run's seed is the one checked
+        same = make_config(cohorts=[one_ue(count=3)])
+        Simulation(cfg, population=Population(same.ues, cfg.seed))
+        Simulation(cfg, seed=7, population=Population(cfg.ues, 7))
+
+    def test_corrupt_keys_fail_in_every_design_of_a_comparison(self):
+        cohorts = [one_ue(cohort="corrupt", count=4, corrupt_key=True,
+                          express_eligible=True),
+                   one_ue(cohort="honest", count=4)]
+        comparison = compare_designs(make_config(cohorts=cohorts))
+        for design, report in comparison.reports.items():
+            outcomes = {}
+            for row in report.rows:
+                outcomes.setdefault(row.cohort, []).append(row.outcome)
+            assert outcomes["corrupt"] == ["mac-failure"] * 4, design
+            assert outcomes["honest"] == ["success"] * 4, design
+
+    def test_no_run_keeps_its_population(self):
+        cfg = make_config(cohorts=[one_ue(count=3)])
+        population = Population(cfg.ues, cfg.seed)
+        sim = Simulation(cfg, population=population)
+        assert not any(isinstance(v, Population) for v in vars(sim).values())
+        ref = weakref.ref(population)
+        del population
+        gc.collect()
+        assert ref() is None
+        # K stays where it was: in the subscriber records and the USIMs
+        for device in sim.devices.values():
+            record = sim.serving.find_by_suci(device.identity.suci)
+            assert device.usim.k is record.root_secret
 
 
 class TestLifetime:
