@@ -31,6 +31,9 @@ DEFAULT_MESSAGE_BYTES = 512
 DEFAULT_TTL_MS = 3_600_000  # Table-style 60:00 m
 # the largest integer JSON readers keep exact (RFC 8259, section 6)
 MAX_JSON_INT = 2**53 - 1
+# a config whose attempt_bound() exceeds this is rejected, so every valid
+# scenario finishes; it also bounds the devices built
+MAX_ATTEMPTS = 1_000_000
 
 
 class ScenarioError(Exception):
@@ -90,9 +93,6 @@ class ScenarioConfig:
     probationary: ProbationaryPolicy = field(default_factory=ProbationaryPolicy)
     prewarm: list[PrewarmSpec] = field(default_factory=list)
     xapp_delays_ms: dict[str, int] = field(default_factory=dict)
-    # a config whose attempt_bound() exceeds this is rejected, so every
-    # valid scenario finishes; it also bounds the devices built
-    max_attempts: int = field(default=1_000_000, metadata={"min": 1})
 
     def __post_init__(self):
         if self.design not in DESIGNS:
@@ -138,12 +138,12 @@ class ScenarioConfig:
                 raise ScenarioError(where, str(exc)) from exc
         terms = self._attempt_terms()
         bound = sum(terms.values())
-        if bound > self.max_attempts:
+        if bound > MAX_ATTEMPTS:
             raise ScenarioError(
                 max(terms, key=terms.get),
                 f"allows up to {bound} attempts within horizon_ms "
-                f"{self.horizon_ms}, more than max_attempts "
-                f"{self.max_attempts}")
+                f"{self.horizon_ms}, more than the {MAX_ATTEMPTS} a run "
+                f"may make")
 
     def _attempt_terms(self) -> dict[str, int]:
         """``attempt_bound()`` split by the field that governs each part."""

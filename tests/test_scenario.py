@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from randelsim import scenario as scenario_module
 from randelsim.cli import main
 from randelsim.harness import compare_designs
 from randelsim.scenario import (DESIGNS, MAX_JSON_INT, ScenarioError,
@@ -198,13 +199,11 @@ PRESET_DOCS = {name: json.loads(preset_path(name).read_text())
 ODD_VALUES = [0, -1, 1, 2.5, "x", True, None, [], {}]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_one_mutation_is_rejected_or_runs(data):
     doc = copy.deepcopy(PRESET_DOCS[data.draw(st.sampled_from(
         sorted(PRESET_DOCS)))])
-    # every preset fits this budget, so the runs stay short
-    doc["max_attempts"] = 2000
     nodes = list(_nodes(doc))
     value = data.draw(st.sampled_from(ODD_VALUES))
     if data.draw(st.booleans()):
@@ -217,7 +216,10 @@ def test_one_mutation_is_rejected_or_runs(data):
         _, target = data.draw(st.sampled_from(
             [n for n in nodes if isinstance(n[1], dict)]))
         target["unknown_key"] = value
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as mp:
+        # every preset fits this budget, so the runs stay short
+        mp.setattr(scenario_module, "MAX_ATTEMPTS", 2000)
         scenario = Path(tmp) / "scenario.json"
         scenario.write_text(json.dumps(doc))
         code = main(["run", "--scenario", str(scenario),
@@ -243,13 +245,15 @@ class TestRunBudget:
             bounded = cfg.with_overrides(design=report.design)
             assert bounded.attempt_bound() >= len(report.rows)
 
-    def test_bound_at_the_limit_is_accepted(self):
+    def test_bound_at_the_limit_is_accepted(self, monkeypatch):
         cfg = config_from_dict(minimal_doc(reauth_interval_ms=1000))
         # 2 devices: 2 registrations and 2 * 10 re-authentications
         assert cfg.attempt_bound() == 22
-        replace(cfg, max_attempts=22)
+        monkeypatch.setattr(scenario_module, "MAX_ATTEMPTS", 22)
+        replace(cfg)
+        monkeypatch.setattr(scenario_module, "MAX_ATTEMPTS", 21)
         with pytest.raises(ScenarioError) as info:
-            replace(cfg, max_attempts=21)
+            replace(cfg)
         assert info.value.fieldname == "reauth_interval_ms"
 
     @pytest.mark.parametrize("horizon, cohort, field", [
@@ -269,7 +273,8 @@ class TestRunBudget:
             config_from_dict(doc)
         assert info.value.fieldname == field
 
-    def test_probation_polls_count_only_where_they_can_run(self):
+    def test_probation_polls_count_only_where_they_can_run(self,
+                                                           monkeypatch):
         roamers = {"cohort": "r", "count": 10, "behavior": "roamer",
                    "home_network": "net-home",
                    "arrival": {"kind": "fixed", "time_ms": 0}}
@@ -277,7 +282,7 @@ class TestRunBudget:
                           thresholds={"probe_interval_ms": 1})
         # baseline runs neither the probationary xApp nor the assessor
         assert config_from_dict(doc).attempt_bound() == 10
-        doc["max_attempts"] = 2000
+        monkeypatch.setattr(scenario_module, "MAX_ATTEMPTS", 2000)
         with pytest.raises(ScenarioError) as info:
             config_from_dict(dict(doc, design="logic-replication"))
         assert info.value.fieldname == "thresholds.probe_interval_ms"
