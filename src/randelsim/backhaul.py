@@ -23,6 +23,9 @@ class BackhaulProfile:
             raise ValueError("base_latency_ms must be >= 0")
         if self.jitter_ms < 0:
             raise ValueError("jitter_ms must be >= 0")
+        if self.jitter_ms > self.base_latency_ms:
+            # otherwise a delivery could land before its send
+            raise ValueError("jitter_ms must be <= base_latency_ms")
         if not 0.0 <= self.loss_probability <= 1.0:
             raise ValueError("loss_probability must be within [0, 1]")
         prev_end = None
@@ -41,7 +44,7 @@ class BackhaulProfile:
 
 
 class BackhaulLink:
-    """Half-duplex FIFO link. Byte counters increment on send even when lost.
+    """Half-duplex FIFO link.
 
     A link built with a utilization window keeps the sends of the last
     window, which is all ``utilization`` reads; one built without keeps none.
@@ -55,8 +58,6 @@ class BackhaulLink:
         self.profile = profile
         self._rng = rng
         self._busy_until = 0
-        self.bytes_total = 0
-        self.msg_total = 0
         self.utilization_window_ms = utilization_window_ms
         self._send_log: deque[tuple[int, int]] = deque()  # (time, bytes)
 
@@ -65,8 +66,6 @@ class BackhaulLink:
 
     def transmit(self, size: int, at: int) -> int | None:
         """Return the delivery time, or None if the message is lost."""
-        self.bytes_total += size
-        self.msg_total += 1
         window = self.utilization_window_ms
         if window is not None:
             self._trim(at - window)

@@ -35,7 +35,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"{config.name} design={config.design} seed={report.seed}: "
           f"{agg['attempts']} attempts, "
           f"success={report.success_rate():.3f}, "
-          f"backhaul_bytes={report.link_bytes_total}, "
+          f"backhaul_bytes={agg['total_backhaul_bytes']}, "
           f"audit={';'.join(report.audit_flags) or 'none'}")
     return 0
 

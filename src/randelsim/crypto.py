@@ -99,7 +99,7 @@ class SessionKeys:
 
     @cached_property
     def k_amf(self) -> bytes:
-        return derive_key(self.k_seaf, "AMF", self.cached_id)
+        return prf(self.k_seaf, "AMF", self.cached_id)
 
     @cached_property
     def k_nas(self) -> bytes:
@@ -107,11 +107,11 @@ class SessionKeys:
 
     @cached_property
     def k_up(self) -> bytes:
-        return derive_key(self.k_seaf, "UP", self.cached_id)
+        return prf(self.k_seaf, "UP", self.cached_id)
 
     @cached_property
     def k_rrc(self) -> bytes:
-        return derive_key(self.k_seaf, "RRC", self.cached_id)
+        return prf(self.k_seaf, "RRC", self.cached_id)
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,10 +143,6 @@ def prf(key: bytes, label: str, context: bytes = b"") -> bytes:
     return _sha256(key.translate(_OPAD) + inner).digest()
 
 
-def derive_key(parent: bytes, label: str, context: bytes = b"") -> bytes:
-    return prf(parent, label, context)
-
-
 class HmacKey:
     """One key's padded HMAC-SHA256 states, as secret as the key. ``prf``
     resumes copies of them: the bytes of ``prf(key, label, context)``."""
@@ -172,7 +168,7 @@ class HmacKey:
 
 def derive_k_nas(k_seaf: bytes, cached_id: bytes) -> bytes:
     """K_NAS by the K_SEAF -> K_AMF -> K_NAS chain (TS 33.501 Annex A)."""
-    return derive_key(derive_key(k_seaf, "AMF", cached_id), "NAS", cached_id)
+    return prf(prf(k_seaf, "AMF", cached_id), "NAS", cached_id)
 
 
 # The concealment key is fixed, so its states are hashed once; the inner one
@@ -219,12 +215,7 @@ def generate_av(root: RootSecret, sequence: SequenceState, serving_network: str,
 
 
 def derive_k_seaf(k_ausf: bytes, serving_network: str) -> bytes:
-    return derive_key(k_ausf, "SEAF", serving_network.encode())
-
-
-def derive_session_keys(k_seaf: bytes, cached_id: bytes) -> SessionKeys:
-    """Session keys from the anchor alone; no root secret required."""
-    return SessionKeys(k_seaf=k_seaf, cached_id=cached_id)
+    return prf(k_ausf, "SEAF", serving_network.encode())
 
 
 def build_hierarchy(k_ausf: bytes, serving_network: str,

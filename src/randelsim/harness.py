@@ -34,7 +34,8 @@ class DesignComparison:
                 "design": design,
                 "success_rate": round(report.success_rate(), 6),
                 "p95_latency_ms": percentile(latencies, 0.95) if latencies else "",
-                "total_backhaul_bytes": report.link_bytes_total,
+                "total_backhaul_bytes":
+                    report.aggregates["total_backhaul_bytes"],
                 "audit_flags": ";".join(report.audit_flags),
             })
         return rows

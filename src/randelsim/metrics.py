@@ -66,13 +66,10 @@ class MetricsReport:
     rows: list[OutcomeRow]
     dropped_by_filter: int
     audit_flags: list[str]
-    link_bytes_total: int
-    link_msgs_total: int
-    aggregates: dict = field(default_factory=dict)
+    aggregates: dict = field(init=False)
 
     def __post_init__(self):
-        if not self.aggregates:
-            self.aggregates = self.recompute_aggregates()
+        self.aggregates = self.recompute_aggregates()
 
     def recompute_aggregates(self) -> dict:
         return aggregate(self.rows, self.dropped_by_filter, self.audit_flags)

@@ -79,20 +79,6 @@ class StateCacheEntry(DecisionCacheEntry):
     control_plane_state: SubscriptionPolicy
 
 
-class CacheMiss:
-    def __repr__(self):
-        return "MISS"
-
-
-class CacheExpired:
-    def __repr__(self):
-        return "EXPIRED"
-
-
-MISS = CacheMiss()
-EXPIRED = CacheExpired()
-
-
 class TtlCache:
     """TTL cache keyed by cached_id; earliest-expiry eviction when full.
 
@@ -136,15 +122,13 @@ class TtlCache:
                               for cid, e in self._entries.items()]
             heapq.heapify(self._expiries)
 
-    def lookup(self, cached_id: bytes, now: int):
-        """Entry iff live; evicts on expiry."""
+    def lookup(self, cached_id: bytes, now: int) -> DecisionCacheEntry | None:
+        """The entry iff live, else None; evicts an expired entry."""
         entry = self._entries.get(cached_id)
-        if entry is None:
-            return MISS
-        if not entry.live(now):
+        if entry is not None and not entry.live(now):
             del self._entries[cached_id]
             self._compact()
-            return EXPIRED
+            return None
         return entry
 
     def contains(self, cached_id: bytes) -> bool:
@@ -310,10 +294,10 @@ class Ric:
         if self.dos_filter is not None:
             if not self.dos_filter.check(cid, known, now):
                 return RoutingDecision.REJECT, "filtered", None
-        entry = None  # not looked up yet; a lookup never returns None
+        entry, looked_up = None, False
         if request.express_eligible and self.cache is not None:
-            entry = self.cache.lookup(cid, now)
-            if isinstance(entry, DecisionCacheEntry):
+            entry, looked_up = self.cache.lookup(cid, now), True
+            if entry is not None:
                 return RoutingDecision.EXPRESS, "decision-cache-hit", entry
         if self.assessor is not None:
             health = self.assessor.current(now)
@@ -321,7 +305,7 @@ class Ric:
                          * self.assessor.link.profile.bandwidth_bps)
             if health.reachable and health.available_bandwidth >= threshold:
                 return RoutingDecision.STANDARD, "backhaul-healthy", None
-        if entry is None and "state-auth" in self.xapps:
+        if not looked_up and "state-auth" in self.xapps:
             entry = self.cache.lookup(cid, now)
         if isinstance(entry, StateCacheEntry):
             return RoutingDecision.DELEGATED, "state-cache-hit", entry
@@ -341,9 +325,6 @@ class Ric:
 
     def log_access(self, t: int, cached_id: bytes, event: str, detail: str) -> None:
         self.access_log.append((t, cached_id.hex()[:8], event, detail))
-
-    def dump_caches(self, now: int) -> list[str]:
-        return self.cache.dump(now) if self.cache is not None else []
 
 
 def audit_type_for_root_secret(tp: type, _seen: set | None = None,

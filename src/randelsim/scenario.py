@@ -97,6 +97,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.design not in DESIGNS:
             raise ScenarioError("design", f"must be one of {DESIGNS}")
+        if not self.serving_network:
+            raise ScenarioError("serving_network", "must be nonempty")
         if self.request_timeout_ms <= self.radio_latency_ms:
             # otherwise every attempt times out before it reaches the RAN
             raise ScenarioError("request_timeout_ms",
@@ -148,9 +150,9 @@ class ScenarioConfig:
     def _attempt_terms(self) -> dict[str, int]:
         """``attempt_bound()`` split by the field that governs each part."""
         horizon = self.horizon_ms
-        xapps = DESIGN_XAPPS[self.design]
+        xapps = self.deployed_xapps()
         polls = horizon // self.thresholds.probe_interval_ms
-        probation = self.probationary.enabled and "probationary" in xapps
+        probation = "probationary" in xapps
         terms = {"reauth_interval_ms": 0, "thresholds.probe_interval_ms": 0}
         for i, spec in enumerate(self.ues):
             # each device's first attempt
@@ -167,6 +169,13 @@ class ScenarioConfig:
         if "backhaul-assessor" in xapps:
             terms["thresholds.probe_interval_ms"] += polls + 1
         return terms
+
+    def deployed_xapps(self) -> tuple[str, ...]:
+        """The xApps a run deploys: its design's, less those turned off."""
+        turned_on = {"dos-filter": self.dos_filter,
+                     "probationary": self.probationary.enabled}
+        return tuple(name for name in DESIGN_XAPPS[self.design]
+                     if turned_on.get(name, True))
 
     def attempt_bound(self) -> int:
         """An upper bound on the attempts a run makes, plus its probes.

@@ -38,7 +38,7 @@ from .crypto import (MacFailure, RootSecret, SequenceState, SyncFailure,
                      UeIdentity, UsimState)
 from .kernel import Kernel, seeded_stream
 from .metrics import MetricsReport, OutcomeRow
-from .ric import (DEFAULT_XAPP_DELAYS, DESIGN_XAPPS, BackhaulAssessor,
+from .ric import (DEFAULT_XAPP_DELAYS, BackhaulAssessor,
                   DecisionCacheEntry, DosFilter, RegistrationRequest, Ric,
                   RoutingDecision, StateCacheEntry, TtlCache, XAppDescriptor)
 from .scenario import ScenarioConfig
@@ -137,7 +137,7 @@ class Simulation:
 
         # only the assessor reads how busy the link is, so only a link it
         # assesses keeps a window of its sends
-        assessed = "backhaul-assessor" in DESIGN_XAPPS[config.design]
+        assessed = "backhaul-assessor" in config.deployed_xapps()
         self.link = BackhaulLink(
             config.backhaul, self.kernel.stream("backhaul"),
             config.thresholds.utilization_window_ms if assessed else None)
@@ -147,9 +147,8 @@ class Simulation:
 
         self.serving = CoreNetwork(config.serving_network)
         self.home_cores: dict[str, CoreNetwork] = {}
-        self.devices: dict[str, UeDevice] = {}
-        # each cohort's devices, in ``devices`` order
-        self._cohorts: dict[str, list[UeDevice]] = {}
+        # each cohort's devices, in the order of its identities
+        self.cohorts: dict[str, list[UeDevice]] = {}
         # arrivals not yet fired as (time, slot, device), latest first; only
         # the last one is in the kernel queue
         self._arrivals: list[tuple[int, int, UeDevice]] = []
@@ -167,13 +166,9 @@ class Simulation:
 
     def _build_ric(self) -> Ric:
         cfg, th = self.cfg, self.cfg.thresholds
-        turned_on = {"dos-filter": cfg.dos_filter,
-                     "probationary": cfg.probationary.enabled}
+        deployed = cfg.deployed_xapps()
         xapps = [XAppDescriptor(name, cfg.xapp_delays_ms.get(
-                     name, DEFAULT_XAPP_DELAYS[name]))
-                 for name in DESIGN_XAPPS[cfg.design]
-                 if turned_on.get(name, True)]
-        deployed = {x.name for x in xapps}
+                     name, DEFAULT_XAPP_DELAYS[name])) for name in deployed]
         assessor = cache = dos = None
         if "backhaul-assessor" in deployed:
             assessor = BackhaulAssessor(
@@ -205,7 +200,7 @@ class Simulation:
                     authorized_services=frozenset(spec.authorized_services),
                     qos_class=spec.qos_class)
                 core = self.serving if home == sn else self._home_core(home)
-            members = self._cohorts[spec.cohort] = []
+            members = self.cohorts[spec.cohort] = []
             for i, identity in enumerate(identities):
                 usim = None
                 if home_keys is not None:
@@ -214,22 +209,17 @@ class Simulation:
                         sequence=SequenceState(), subscription=policy,
                         home_network=home))
                     usim = UsimState(device_keys[i])
-                supi = identity.supi
-                device = self.devices[supi] = UeDevice(supi, spec, identity,
-                                                       usim)
-                members.append(device)
+                members.append(UeDevice(identity.supi, spec, identity, usim))
 
     def _prewarm_caches(self) -> None:
         if self.ric.cache is None:
             return
         sn = self.cfg.serving_network
         for pw in self.cfg.prewarm:
-            for device in self._cohorts[pw.cohort]:
+            for device in self.cohorts[pw.cohort]:
                 if device.profile.behavior == "attacker-flood":
                     continue
                 record = self._find_record(device)
-                if record is None:
-                    continue
                 # provisioning models a prior successful authentication
                 k = record.root_secret.hmac_key
                 rand = k.prf("PREWARM", sn.encode())
@@ -282,9 +272,7 @@ class Simulation:
             rows=self.rows,
             dropped_by_filter=(self.ric.dos_filter.dropped
                                if self.ric.dos_filter else 0),
-            audit_flags=self.audit_flags(),
-            link_bytes_total=self.link.bytes_total,
-            link_msgs_total=self.link.msg_total)
+            audit_flags=self.audit_flags())
 
     def _probe(self) -> None:
         self.ric.assessor.assess(self.kernel.now)
@@ -305,7 +293,7 @@ class Simulation:
             rng = self.kernel.stream(f"arrival/{spec.cohort}")
             times = cohort_arrival_times(spec.arrival, spec.count,
                                          self.cfg.horizon_ms, rng)
-            for device, t0 in zip(self._cohorts[spec.cohort], times):
+            for device, t0 in zip(self.cohorts[spec.cohort], times):
                 if spec.behavior == "periodic-sensor":
                     for t in sensor_attempt_times(t0, spec.period_ms,
                                                   self.cfg.horizon_ms):

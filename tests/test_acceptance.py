@@ -67,8 +67,10 @@ def test_01_mutual_auth_correctness():
             succeeded = {r.ue_id for r in report.rows
                          if r.outcome == "success"}
             assert len(succeeded) == 100  # every real subscriber got through
+            devices = {d.ue_id: d for members in sim.cohorts.values()
+                       for d in members}
             for ue_id in succeeded:
-                device = sim.devices[ue_id]
+                device = devices[ue_id]
                 cid = device.identity.cached_id
                 # both sides finished with the same anchor and session keys
                 assert sim.serving.seaf_hierarchies[cid] == device.hierarchy
@@ -86,7 +88,7 @@ def test_02_anchor_only_delegation():
             av = crypto.generate_av(root, SequenceState(), "net-x", rng)
             core = crypto.build_hierarchy(av.k_derived, "net-x", cid)
             # a holder of the anchor alone reaches the same session keys
-            edge = crypto.derive_session_keys(core.k_seaf, cid)
+            edge = crypto.SessionKeys(core.k_seaf, cid)
             assert (edge.k_amf, edge.k_nas, edge.k_up, edge.k_rrc) == (
                 core.k_amf, core.k_nas, core.k_up, core.k_rrc)
 
@@ -188,7 +190,8 @@ def test_07_dos_mitigation_ordering():
                       if r.cohort == "attackers" and r.backhaul_msgs > 0]
             assert len(leaked) <= budget
             assert off.success_rate("legit") < legit_on
-            assert off.link_bytes_total > on.link_bytes_total
+            assert (off.aggregates["total_backhaul_bytes"]
+                    > on.aggregates["total_backhaul_bytes"])
 
 
 def test_08_probationary_lifecycle():
@@ -209,7 +212,7 @@ def test_08_probationary_lifecycle():
         })
         sim = Simulation(cfg)
         report = sim.run()
-        device = next(iter(sim.devices.values()))
+        (device,) = sim.cohorts["r"]
         cid = device.identity.cached_id
 
         first = report.rows[0]

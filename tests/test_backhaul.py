@@ -27,6 +27,13 @@ class TestProfileValidation:
             BackhaulProfile(base_latency_ms=1, bandwidth_bps=1,
                             loss_probability=1.5).validate()
 
+    def test_jitter_beyond_base_latency_rejected(self):
+        with pytest.raises(ValueError, match="^jitter_ms"):
+            BackhaulProfile(base_latency_ms=50, bandwidth_bps=1,
+                            jitter_ms=51).validate()
+        BackhaulProfile(base_latency_ms=50, bandwidth_bps=1,
+                        jitter_ms=50).validate()
+
     def test_overlapping_outages_rejected(self):
         with pytest.raises(ValueError, match="outages"):
             BackhaulProfile(base_latency_ms=1, bandwidth_bps=1,
@@ -35,9 +42,9 @@ class TestProfileValidation:
 
 class TestTransmit:
     def test_drop_inside_outage(self):
-        link = make_link(outages=[(100, 200)])
+        link = make_link(window=500, outages=[(100, 200)])
         assert link.transmit(512, 150) is None
-        assert link.bytes_total == 512  # counted on send regardless of loss
+        assert link.utilization(150) == 512  # counted on send regardless of loss
 
     def test_delivery_arithmetic(self):
         # 512 B at 1 MB/s serializes in ceil(0.512) = 1 ms
@@ -53,6 +60,11 @@ class TestTransmit:
     def test_loss_probability_one_drops_everything(self):
         link = make_link(loss_probability=1.0)
         assert all(link.transmit(512, t) is None for t in range(10))
+
+    def test_jitter_of_base_latency_never_delivers_before_send(self):
+        link = make_link(jitter_ms=50)
+        for t in range(0, 10_000, 10):
+            assert link.transmit(1, t) > t
 
     def test_delivered_latency_at_least_base_minus_jitter(self):
         link = make_link(jitter_ms=10)
@@ -78,11 +90,13 @@ class TestUtilization:
         link.transmit(512, 100)
         assert link.utilization(200) == 512
 
-    def test_flood_approaches_counter_total(self):
+    def test_flood_counts_every_send_in_window(self):
         link = make_link(window=1000)
+        sent = 0
         for t in range(0, 1000, 10):
-            link.transmit(10_000, t)
-        assert link.utilization(1000) == link.bytes_total
+            link.transmit(10_000 + t, t)
+            sent += 10_000 + t
+        assert link.utilization(1000) == sent
 
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -97,7 +111,6 @@ class TestUtilization:
         for t in range(0, 1000, 10):
             link.transmit(512, t)
         assert not link._send_log
-        assert link.bytes_total == 100 * 512
 
     def test_kept_sends_stay_within_window(self):
         link = make_link(window=100)

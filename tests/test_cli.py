@@ -122,9 +122,14 @@ class TestExitCodes:
                      id="backhaul.jitter_ms-10**400"),
         pytest.param("message_bytes.default", 10**400,
                      id="message_bytes.default-10**400"),
+        ("backhaul.jitter_ms", 52),  # zta's base latency is 50 ms
+        ("home_backhaul.jitter_ms", 52),
+        ("serving_network", ""),
     ])
     def test_bad_zta_value_is_2_and_named(self, tmp_path, path, value):
         doc = json.loads(preset_path("zta").read_text())
+        if path.startswith("home_backhaul."):
+            doc["home_backhaul"] = dict(doc["backhaul"])  # zta has none
         set_path(doc, path, value)
         scenario = tmp_path / "zta.json"
         scenario.write_text(json.dumps(doc))

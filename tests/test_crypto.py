@@ -19,17 +19,17 @@ def make_usim(k: bytes = b"\x07" * 32) -> UsimState:
 
 class TestDeriveKey:
     def test_deterministic(self):
-        a = crypto.derive_key(b"\x01" * 32, "AUSF", b"ctx")
-        b = crypto.derive_key(b"\x01" * 32, "AUSF", b"ctx")
+        a = crypto.prf(b"\x01" * 32, "AUSF", b"ctx")
+        b = crypto.prf(b"\x01" * 32, "AUSF", b"ctx")
         assert a == b
 
     def test_labels_separate_domains(self):
         parent = b"\x02" * 32
-        assert crypto.derive_key(parent, "AUSF") != crypto.derive_key(parent, "SEAF")
+        assert crypto.prf(parent, "AUSF") != crypto.prf(parent, "SEAF")
 
     def test_empty_label_rejected(self):
         with pytest.raises(ValueError):
-            crypto.derive_key(b"\x00" * 32, "")
+            crypto.prf(b"\x00" * 32, "")
 
     def test_golden_vectors(self):
         for line in VECTORS.read_text().splitlines():
@@ -74,19 +74,18 @@ class TestGenerateAv:
 
 class TestKSeaf:
     def test_deterministic(self):
-        k = crypto.derive_key(b"\x05" * 32, "AUSF")
+        k = crypto.prf(b"\x05" * 32, "AUSF")
         assert crypto.derive_k_seaf(k, "net-a") == crypto.derive_k_seaf(k, "net-a")
 
     def test_network_bound(self):
-        k = crypto.derive_key(b"\x05" * 32, "AUSF")
+        k = crypto.prf(b"\x05" * 32, "AUSF")
         assert crypto.derive_k_seaf(k, "net-a") != crypto.derive_k_seaf(k, "net-b")
 
     def test_chain_agrees_on_both_sides(self):
         # device and core run the same chain from K and meet at every level
         root = RootSecret(b"\x06" * 32)
         av = crypto.generate_av(root, SequenceState(), "net-a", random.Random(2))
-        device_k_ausf = crypto.derive_key(root.value, "AUSF",
-                                          b"net-a" + av.rand)
+        device_k_ausf = crypto.prf(root.value, "AUSF", b"net-a" + av.rand)
         assert device_k_ausf == av.k_derived
         assert (crypto.derive_k_seaf(device_k_ausf, "net-a")
                 == crypto.derive_k_seaf(av.k_derived, "net-a"))
@@ -96,19 +95,19 @@ class TestSessionKeys:
     CID = b"\x0a" * 32
 
     def test_four_keys_pairwise_distinct(self):
-        sk = crypto.derive_session_keys(b"\x08" * 32, self.CID)
+        sk = crypto.SessionKeys(b"\x08" * 32, self.CID)
         keys = [sk.k_amf, sk.k_nas, sk.k_up, sk.k_rrc]
         assert len(set(keys)) == 4
 
     def test_anchor_holder_matches_core(self):
         # a party holding only the anchor derives the same session keys
         k_seaf = crypto.derive_k_seaf(b"\x09" * 32, "net-a")
-        assert (crypto.derive_session_keys(k_seaf, self.CID)
-                == crypto.derive_session_keys(k_seaf, self.CID))
+        assert (crypto.SessionKeys(k_seaf, self.CID)
+                == crypto.SessionKeys(k_seaf, self.CID))
 
     def test_identity_changes_every_key(self):
-        a = crypto.derive_session_keys(b"\x08" * 32, b"\x0a" * 32)
-        b = crypto.derive_session_keys(b"\x08" * 32, b"\x0b" * 32)
+        a = crypto.SessionKeys(b"\x08" * 32, b"\x0a" * 32)
+        b = crypto.SessionKeys(b"\x08" * 32, b"\x0b" * 32)
         assert a.k_amf != b.k_amf
         assert a.k_nas != b.k_nas
         assert a.k_up != b.k_up
@@ -183,8 +182,8 @@ def test_concealment_matches_generic_prf(supi):
        st.text(min_size=1, max_size=16),
        st.binary(max_size=32))
 def test_derive_key_deterministic_property(parent, label, context):
-    assert (crypto.derive_key(parent, label, context)
-            == crypto.derive_key(parent, label, context))
+    assert (crypto.prf(parent, label, context)
+            == crypto.prf(parent, label, context))
 
 
 @given(st.binary(max_size=200),
@@ -244,6 +243,6 @@ def test_dual_side_agreement_randomized(case):
     cid = rng.randbytes(32)
     av = crypto.generate_av(root, SequenceState(), "net-x", rng)
     core = crypto.build_hierarchy(av.k_derived, "net-x", cid)
-    device_k_ausf = crypto.derive_key(root.value, "AUSF", b"net-x" + av.rand)
+    device_k_ausf = crypto.prf(root.value, "AUSF", b"net-x" + av.rand)
     device = crypto.build_hierarchy(device_k_ausf, "net-x", cid)
     assert core == device

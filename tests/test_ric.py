@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 from randelsim.backhaul import BackhaulLink, BackhaulProfile
 from randelsim.core import SubscriptionPolicy
 from randelsim.ric import (BackhaulAssessor, DecisionCacheEntry, DosFilter,
-                           EXPIRED, InvalidBudget, MISS, RegistrationRequest,
-                           Ric, RoutingDecision, StateCacheEntry, TtlCache,
+                           InvalidBudget, RegistrationRequest, Ric,
+                           RoutingDecision, StateCacheEntry, TtlCache,
                            XAppDescriptor, audit_type_for_root_secret)
 
 HOUR_TTL = 3_600_000  # the canonical 60:00 m example
@@ -46,7 +46,7 @@ class TestXAppBudget:
 
 class TestTtlCache:
     def test_lookup_on_empty_is_miss(self):
-        assert TtlCache(10_000).lookup(b"\x01" * 32, 0) is MISS
+        assert TtlCache(10_000).lookup(b"\x01" * 32, 0) is None
 
     def test_hit_one_ms_before_expiry(self):
         cache = TtlCache(10_000)
@@ -57,9 +57,10 @@ class TestTtlCache:
     def test_expired_exactly_at_ttl(self):
         cache = TtlCache(10_000)
         cache.store(make_entry())
-        assert cache.lookup(b"\x01" * 32, HOUR_TTL) is EXPIRED
+        assert cache.lookup(b"\x01" * 32, HOUR_TTL) is None
         # expired entries are evicted on lookup
-        assert cache.lookup(b"\x01" * 32, HOUR_TTL) is MISS
+        assert not cache.contains(b"\x01" * 32)
+        assert len(cache) == 0
 
     def test_capacity_evicts_earliest_expiry(self):
         cache = TtlCache(2)
@@ -93,9 +94,10 @@ class TestTtlCache:
             else:
                 got = cache.lookup(cid, now)
                 if cid not in model:
-                    assert got is MISS
+                    assert got is None
                 elif now >= model[cid]:
-                    assert got is EXPIRED
+                    assert got is None
+                    assert not cache.contains(cid)  # evicted on lookup
                     del model[cid]
                 else:
                     assert isinstance(got, DecisionCacheEntry)
@@ -324,8 +326,7 @@ class TestStructuralAudit:
 def test_cache_dump_format():
     cache = TtlCache(10_000)
     cache.store(make_entry())
-    ric = Ric([], 0.1, cache=cache)
-    lines = ric.dump_caches(now=1000)
+    lines = cache.dump(now=1000)
     assert len(lines) == 1
     kind, cid_hex, fp, remaining = lines[0].split()
     assert kind == "decision"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from randelsim import scenario as scenario_module
 from randelsim.cli import main
 from randelsim.harness import compare_designs
+from randelsim.ric import DESIGN_XAPPS
 from randelsim.scenario import (DESIGNS, MAX_JSON_INT, ScenarioError,
                                 config_from_dict, load_preset, load_scenario,
                                 preset_names, preset_path)
@@ -112,6 +113,10 @@ class TestConfigFromDict:
         ("backhaul.outages", [[100, 50]], "backhaul.outages"),
         ("backhaul.outages", [[100]], "backhaul.outages[0]"),
         ("home_backhaul.jitter_ms", -1, "home_backhaul.jitter_ms"),
+        # jitter beyond the base latency could deliver before the send
+        ("backhaul.jitter_ms", 21, "backhaul.jitter_ms"),
+        ("home_backhaul.jitter_ms", 6, "home_backhaul.jitter_ms"),
+        ("serving_network", "", "serving_network"),
         ("cache_ttl_ms", 1.5, "cache_ttl_ms"),
         ("cache_capacity", True, "cache_capacity"),
         ("dos_filter", 1, "dos_filter"),
@@ -159,6 +164,16 @@ class TestConfigFromDict:
             replace(cfg, design="hybrid")
         with pytest.raises(ScenarioError, match="design"):
             cfg.with_overrides(design="hybrid")
+
+    def test_deployed_xapps_leave_out_those_turned_off(self):
+        off = config_from_dict(minimal_doc(design="logic-replication"))
+        assert off.deployed_xapps() == (
+            "routing", "decision-cache", "backhaul-assessor", "state-auth",
+            "session-establish")
+        on = replace(off, dos_filter=True)
+        on.probationary.enabled = True
+        assert on.deployed_xapps() == DESIGN_XAPPS["logic-replication"]
+        assert replace(off, design="baseline").deployed_xapps() == ()
 
     def test_message_size_fallback(self):
         cfg = config_from_dict(minimal_doc(message_bytes={"AUTH_CHALLENGE": 640}))

@@ -57,7 +57,7 @@ class TestStandardFlowOracle:
         (row,) = report.rows
         assert row.backhaul_msgs == BACKHAUL_MSGS_FULL_REG
         assert row.backhaul_bytes == BACKHAUL_MSGS_FULL_REG * 512
-        assert report.link_bytes_total == row.backhaul_bytes
+        assert report.aggregates["total_backhaul_bytes"] == row.backhaul_bytes
 
     def test_reauth_message_budget(self):
         sim = Simulation(make_config(horizon=90_000))
@@ -77,14 +77,14 @@ class TestStandardFlowOracle:
     def test_both_sides_agree_on_anchor(self):
         sim = Simulation(make_config())
         sim.run()
-        device = next(iter(sim.devices.values()))
+        (device,) = sim.cohorts["solo"]
         cid = device.identity.cached_id
         assert sim.serving.seaf_hierarchies[cid] == device.hierarchy
 
     def test_session_established_in_core(self):
         sim = Simulation(make_config())
         sim.run()
-        device = next(iter(sim.devices.values()))
+        (device,) = sim.cohorts["solo"]
         assert device.session_slice == "default"
         assert device.session_services == frozenset({"data"})
 
@@ -98,11 +98,12 @@ class TestFailureModes:
         (row,) = report.rows
         assert row.outcome == "timeout"
         assert row.latency_ms == 3000
-        device = next(iter(sim.devices.values()))
+        (device,) = sim.cohorts["solo"]
         assert device.session_slice is None
         assert device.session_services == frozenset()
-        # the send was attempted, so the wire still carried the bytes
-        assert report.link_bytes_total == 512
+        # the send was attempted, so its attempt still counts the bytes
+        assert (row.backhaul_msgs, row.backhaul_bytes) == (1, 512)
+        assert report.aggregates["total_backhaul_bytes"] == 512
 
     def test_failed_reauth_tears_session_down(self):
         # registered at t=0, the re-auth at ~60 s meets an outage
@@ -112,7 +113,7 @@ class TestFailureModes:
         reg, reauth = sim.run().rows
         assert reg.outcome == "success"
         assert (reauth.request_type, reauth.outcome) == ("reauth", "timeout")
-        device = next(iter(sim.devices.values()))
+        (device,) = sim.cohorts["solo"]
         assert device.session_slice is None
         assert device.session_services == frozenset()
 
@@ -157,7 +158,7 @@ class TestColocated:
         (row,) = report.rows
         assert row.outcome == "success"
         assert row.backhaul_msgs == 0
-        assert report.link_bytes_total == 0
+        assert report.aggregates["total_backhaul_bytes"] == 0
         assert report.audit_flags == ["root-secret-at-edge"]
 
 
@@ -176,7 +177,7 @@ class TestExpressPath:
         assert (row.outcome, row.path) == ("success", "express")
         assert row.latency_ms == 2 + 25 + 3 * 2 == 33
         assert row.backhaul_msgs == 0
-        assert report.link_bytes_total == 0
+        assert report.aggregates["total_backhaul_bytes"] == 0
 
     def test_express_survives_total_outage(self):
         cfg = self.prewarmed_config(horizon=10_000,
@@ -286,7 +287,7 @@ class TestDelegatedPath:
         (row,) = sim.run().rows
         assert (row.outcome, row.path) == ("success", "delegated")
         # the grant carries the snapshot's slice and services
-        device = next(iter(sim.devices.values()))
+        (device,) = sim.cohorts["solo"]
         assert device.session_slice == "default"
         assert device.session_services == frozenset({"data", "voice"})
 
@@ -297,7 +298,7 @@ class TestRanCache:
         cfg = load_preset("disaster").with_overrides(design=design)
         sim = Simulation(cfg)
         sim.run()
-        lines = sim.ric.dump_caches(cfg.horizon_ms)
+        lines = sim.ric.cache.dump(cfg.horizon_ms)
         assert lines
         cids = [line.split()[1] for line in lines]
         assert len(cids) == len(set(cids))
@@ -350,7 +351,7 @@ class TestProbationary:
         events = [e for _, _, e, _ in sim.ric.access_log]
         assert "probationary-admit" in events
         assert "upgraded" in events
-        device = next(iter(sim.devices.values()))
+        (device,) = sim.cohorts["solo"]
         assert device.session_slice == "default"  # off the probation slice
         deferred = [r for r in report.rows if r.request_type == "deferred"]
         assert deferred and deferred[0].outcome == "success"
@@ -358,7 +359,7 @@ class TestProbationary:
     def test_probation_slice_until_core_answers(self):
         sim = Simulation(self.roamer_config(outage_end=60_000))
         sim.run()
-        device = next(iter(sim.devices.values()))
+        (device,) = sim.cohorts["solo"]
         assert device.session_slice == "probation"
         assert device.session_services == frozenset({"messaging"})
         events = [e for _, _, e, _ in sim.ric.access_log]
@@ -367,7 +368,7 @@ class TestProbationary:
     def test_failed_deferred_auth_terminates_and_blacklists(self):
         sim = Simulation(self.roamer_config(corrupt=True))
         report = sim.run()
-        device = next(iter(sim.devices.values()))
+        (device,) = sim.cohorts["solo"]
         assert device.identity.cached_id in sim.ric.blacklist
         assert device.session_slice is None
         events = [e for _, _, e, _ in sim.ric.access_log]
@@ -406,7 +407,7 @@ class TestProbationary:
             ("registration", "standard", "success"),
             ("registration", "standard", "success")]
         # the device is on its own slice, so no deferred auth follows
-        device = next(iter(sim.devices.values()))
+        (device,) = sim.cohorts["solo"]
         assert device.session_slice == "default"
         # the registration that moved it off probation is in the audit log
         assert [(e, d) for _, _, e, d in sim.ric.access_log] == [
@@ -422,15 +423,25 @@ class TestProbationary:
 
 
 class TestAccounting:
-    def test_row_bytes_match_link_counter(self):
-        cfg = make_config(horizon=40_000,
-                          cohorts=[one_ue(count=8,
-                                          arrival={"kind": "poisson",
-                                                   "rate_per_s": 2})])
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_attempts_count_every_send_on_the_link(self, design):
+        cfg = make_config(design=design, horizon=40_000, cohorts=[
+            one_ue(count=8, express_eligible=True,
+                   arrival={"kind": "poisson", "rate_per_s": 2}),
+            one_ue(cohort="roam", behavior="roamer", home_network="net-home")],
+            backhaul={"outages": [[1000, 2500]]}, prewarm=[{"cohort": "solo"}])
         sim = Simulation(cfg)
-        report = sim.run()
-        assert sum(r.backhaul_bytes for r in report.rows) == report.link_bytes_total
-        assert sum(r.backhaul_msgs for r in report.rows) == report.link_msgs_total
+        sent = []
+        transmit = sim.link.transmit
+
+        def counted(size, at):
+            sent.append(size)
+            return transmit(size, at)
+
+        sim.link.transmit = counted
+        agg = sim.run().aggregates
+        assert (agg["total_backhaul_msgs"], agg["total_backhaul_bytes"]) == (
+            len(sent), sum(sent))
 
     def test_identical_seed_identical_csv(self):
         cfg = make_config(horizon=40_000,
@@ -443,6 +454,22 @@ class TestAccounting:
         report = Simulation(make_config()).run()
         assert report.aggregates == report.recompute_aggregates()
         assert report.aggregates["success_rate_by_cohort"]["solo"] == 1.0
+
+
+class TestDeployedXapps:
+    @pytest.mark.parametrize("probationary", (False, True))
+    @pytest.mark.parametrize("dos_filter", (False, True))
+    @pytest.mark.parametrize("design", DESIGNS)
+    def test_ric_runs_what_the_config_deploys(self, design, dos_filter,
+                                              probationary):
+        cfg = make_config(design=design, dos_filter=dos_filter,
+                          probationary={"enabled": probationary})
+        ric = Simulation(cfg).ric
+        deployed = cfg.deployed_xapps()
+        assert tuple(ric.xapps) == deployed
+        assert (ric.assessor is not None) == ("backhaul-assessor" in deployed)
+        assert (ric.cache is not None) == ("decision-cache" in deployed)
+        assert (ric.dos_filter is not None) == ("dos-filter" in deployed)
 
 
 class TestLinkSendLog:
@@ -461,9 +488,17 @@ class TestLinkSendLog:
             kept.append(len(link._send_log))
             return delivery
 
+        home_sent = []
+        home_transmit = sim.home_link.transmit
+
+        def home_checked(size, at):
+            home_sent.append(size)
+            return home_transmit(size, at)
+
         link.transmit = checked
+        sim.home_link.transmit = home_checked
         sim.run()
-        assert sim.home_link.bytes_total and not sim.home_link._send_log
+        assert home_sent and not sim.home_link._send_log
         if sim.ric.assessor is None:
             assert not any(kept) and not link._send_log
         else:
@@ -563,7 +598,7 @@ class TestScale:
 
     def test_per_device_records_have_no_instance_dict(self):
         sim = Simulation(make_config())
-        device = next(iter(sim.devices.values()))
+        (device,) = sim.cohorts["solo"]
         identity, usim = device.identity, device.usim
         record = sim.serving.find_by_suci(identity.suci)
         records = [device, device.profile, identity, usim, usim.k,
@@ -581,14 +616,14 @@ class TestScale:
                           behavior="attacker-flood")]
         sim = Simulation(make_config(cohorts=cohorts))
         profiles = []
-        for cohort, members in sim._cohorts.items():
+        for cohort, members in sim.cohorts.items():
             assert all(d.profile is members[0].profile for d in members)
             assert members[0].profile.cohort == cohort
             profiles.append(members[0].profile)
         assert len({id(p) for p in profiles}) == 3
         # the profile is the config's own spec, not a copy of it
         for spec in sim.cfg.ues:
-            assert all(d.profile is spec for d in sim._cohorts[spec.cohort])
+            assert all(d.profile is spec for d in sim.cohorts[spec.cohort])
 
     def test_flooding_device_retains_under_480_bytes(self):
         cfg = flood_config(5000)
@@ -601,7 +636,7 @@ class TestScale:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(sim.devices) == 5000
+        assert len(sim.cohorts["attackers"]) == 5000
         assert retained / 5000 <= 480
 
 
@@ -609,7 +644,7 @@ class TestCredentials:
     def test_flooding_devices_hold_no_credentials(self):
         cfg = flood_config(50)
         sim = Simulation(cfg)
-        assert all(d.usim is None for d in sim.devices.values())
+        assert all(d.usim is None for d in sim.cohorts["attackers"])
         # building the cohort drew nothing from the junk-key stream: a
         # corrupt cohort after it gets the keys it gets on its own
         corrupt = UeCohortSpec(cohort="corrupt", count=3,
@@ -628,7 +663,7 @@ class TestCredentials:
                                    "rate_per_s": 100}),
                    one_ue(cohort="corrupt", count=4, corrupt_key=True)]
         sim = Simulation(make_config(cohorts=cohorts))
-        for device in sim._cohorts["corrupt"]:
+        for device in sim.cohorts["corrupt"]:
             record = sim.serving.find_by_suci(device.identity.suci)
             assert device.usim.k != record.root_secret
         report = sim.run()
@@ -702,7 +737,7 @@ class TestPopulation:
         gc.collect()
         assert ref() is None
         # K stays where it was: in the subscriber records and the USIMs
-        for device in sim.devices.values():
+        for device in sim.cohorts["solo"]:
             record = sim.serving.find_by_suci(device.identity.suci)
             assert device.usim.k is record.root_secret
 
