@@ -31,6 +31,13 @@ class SubscriptionPolicy:
         if self.qos_class not in ("low-latency", "best-effort"):
             raise ValueError("qos_class must be 'low-latency' or 'best-effort'")
 
+    def admit(self, slice_id: str, service: str | None) -> None:
+        """The one admission rule, at the core or on a RAN-side snapshot."""
+        if slice_id not in self.allowed_slices:
+            raise PolicyDenied(f"slice {slice_id!r} not allowed")
+        if service is not None and service not in self.authorized_services:
+            raise PolicyDenied(f"service {service!r} not authorized")
+
 
 @dataclass
 class SubscriberRecord:
@@ -108,10 +115,7 @@ class CoreNetwork:
         """
         if cached_id not in self.seaf_hierarchies:
             raise AuthRequired("session establishment before authentication")
-        if slice_id not in policy.allowed_slices:
-            raise PolicyDenied(f"slice {slice_id!r} not allowed")
-        if service is not None and service not in policy.authorized_services:
-            raise PolicyDenied(f"service {service!r} not authorized")
+        policy.admit(slice_id, service)
         smf = self.select_nf("SMF")
         upf = self.select_nf("UPF")
         self.release_nf(smf)

@@ -210,8 +210,13 @@ def generate_av(root: RootSecret, sequence: SequenceState, serving_network: str,
     sqn = sequence.sqn_network
     k = root.hmac_key
     autn = Autn(sqn, _mac_over(k, sqn, rand))
-    k_ausf = k.prf("AUSF", serving_network.encode() + rand)
+    k_ausf = derive_k_ausf(k, serving_network, rand)
     return AuthenticationVector(rand, autn, k.prf("RES", rand), k_ausf)
+
+
+def derive_k_ausf(k: HmacKey, serving_network: str, rand: bytes) -> bytes:
+    """K_AUSF under K, bound to the serving network and the challenge."""
+    return k.prf("AUSF", serving_network.encode() + rand)
 
 
 def derive_k_seaf(k_ausf: bytes, serving_network: str) -> bytes:

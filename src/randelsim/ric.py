@@ -134,15 +134,6 @@ class TtlCache:
     def contains(self, cached_id: bytes) -> bool:
         return cached_id in self._entries
 
-    def dump(self, now: int) -> list[str]:
-        lines = []
-        for e in self._entries.values():
-            kind = "state" if isinstance(e, StateCacheEntry) else "decision"
-            remaining = max(0, e.created_at + e.ttl - now)
-            lines.append(f"{kind} {e.cached_id.hex()} {e.k_seaf[:4].hex()} "
-                         f"{remaining}")
-        return lines
-
 
 @dataclass(frozen=True)
 class XAppDescriptor:
@@ -161,20 +152,19 @@ class BackhaulHealth:
     reachable: bool
     measured_rtt: int
     available_bandwidth: int  # bytes/s estimate
-    assessed_at: int
 
 
 class BackhaulAssessor:
     """Probe-based link assessment: reachability, EWMA RTT, and free bandwidth
-    over the link's utilization window."""
+    over the link's utilization window. ``last`` is the newest probe: a run
+    probes at t=0 and once per interval, so it is at most an interval old."""
 
     EWMA_WEIGHT = 0.3  # weight on the newest sample
 
     def __init__(self, link: BackhaulLink, rng: random.Random,
-                 probe_interval_ms: int, probe_timeout_ms: int):
+                 probe_timeout_ms: int):
         self.link = link
         self._rng = rng
-        self.probe_interval_ms = probe_interval_ms
         self.probe_timeout_ms = probe_timeout_ms
         self._ewma_rtt: float | None = None
         self.last: BackhaulHealth | None = None
@@ -196,13 +186,7 @@ class BackhaulAssessor:
         available = max(0, capacity - used_per_s)
         rtt = int(round(self._ewma_rtt)) if self._ewma_rtt is not None else self.probe_timeout_ms
         self.last = BackhaulHealth(reachable=answered, measured_rtt=rtt,
-                                   available_bandwidth=available, assessed_at=now)
-        return self.last
-
-    def current(self, now: int) -> BackhaulHealth:
-        """Latest assessment; stale assessments are unknown and redone."""
-        if self.last is None or now - self.last.assessed_at > 2 * self.probe_interval_ms:
-            return self.assess(now)
+                                   available_bandwidth=available)
         return self.last
 
 
@@ -285,7 +269,8 @@ class Ric:
 
         The entry is the live cache entry an EXPRESS or DELEGATED decision
         was made on, and None for every other decision. The cache is looked
-        up at most once, and only where one of those two could follow.
+        up at most once, and only where one of those two could follow. Link
+        health is the assessor's last probe.
         """
         cid = request.cached_id
         known = cid in self.known_ids
@@ -300,7 +285,7 @@ class Ric:
             if entry is not None:
                 return RoutingDecision.EXPRESS, "decision-cache-hit", entry
         if self.assessor is not None:
-            health = self.assessor.current(now)
+            health = self.assessor.last
             threshold = (self.bandwidth_free_fraction
                          * self.assessor.link.profile.bandwidth_bps)
             if health.reachable and health.available_bandwidth >= threshold:

@@ -172,8 +172,7 @@ class Simulation:
         assessor = cache = dos = None
         if "backhaul-assessor" in deployed:
             assessor = BackhaulAssessor(
-                self.link, self.kernel.stream("assessor"),
-                th.probe_interval_ms, th.probe_timeout_ms)
+                self.link, self.kernel.stream("assessor"), th.probe_timeout_ms)
         if "decision-cache" in deployed:
             cache = TtlCache(cfg.cache_capacity)
         if "dos-filter" in deployed:
@@ -223,7 +222,7 @@ class Simulation:
                 # provisioning models a prior successful authentication
                 k = record.root_secret.hmac_key
                 rand = k.prf("PREWARM", sn.encode())
-                k_ausf = k.prf("AUSF", sn.encode() + rand[:16])
+                k_ausf = crypto.derive_k_ausf(k, sn, rand[:16])
                 k_seaf = device.learn_hierarchy(k_ausf, sn).k_seaf
                 self._store_cache_entries(device, record, k_seaf, 0,
                                           ttl=pw.ttl_ms)
@@ -259,6 +258,7 @@ class Simulation:
 
     def run(self) -> MetricsReport:
         if self.ric.assessor is not None:
+            # queued before any arrival slot: every route finds a probe
             self.kernel.schedule(0, self._probe)
         self._schedule_arrivals()
         self.kernel.run_until(self.cfg.horizon_ms)
@@ -386,8 +386,7 @@ class Simulation:
                     interval, lambda: self._start_attempt(device, "reauth"))
         elif att.request_type == "reauth":
             # failed re-authentication tears the session down
-            device.session_slice = None
-            device.session_services = frozenset()
+            device.end_session()
         if att.request_type == "deferred":
             self._deferred_inflight.discard(device.ue_id)
             if outcome in ("mac-failure", "sync-failure",
@@ -508,8 +507,8 @@ class Simulation:
         # a deferred or an ordinary registration may end probation
         upgraded = (device.session_slice == self.cfg.probationary.slice_id
                     != device.profile.slice_id)
-        device.session_slice = device.profile.slice_id
-        device.session_services = record.subscription.authorized_services
+        device.open_session(device.profile.slice_id,
+                            record.subscription.authorized_services)
         self._store_cache_entries(device, record, k_seaf, self.kernel.now)
         if upgraded:
             self.ric.log_access(
@@ -535,9 +534,8 @@ class Simulation:
         if not entry.live(self.kernel.now):
             # entry expired mid-flow: fall back to the routing procedure
             return (yield from self._route(att))
-        self._grant_local_session(device, entry.slice_grant,
-                                  device.session_services or
-                                  frozenset({device.profile.service or "data"}))
+        device.open_session(entry.slice_grant, device.session_services
+                            or frozenset({device.profile.service or "data"}))
         yield self.cfg.radio_latency_ms  # grant
         return "success"
 
@@ -545,17 +543,16 @@ class Simulation:
                         entry: StateCacheEntry, delay_ms: int):
         if not (yield from self._local_challenge(device, entry, delay_ms)):
             return "rejected"
+        # the core's own admission rule, run on the cached snapshot
         policy = entry.control_plane_state
-        if device.profile.slice_id not in policy.allowed_slices:
+        try:
+            policy.admit(device.profile.slice_id, device.profile.service)
+        except PolicyDenied:
             return "policy-denied"
-        service = device.profile.service
-        if service is not None and service not in policy.authorized_services:
-            return "policy-denied"
-        self._grant_local_session(device, device.profile.slice_id,
-                                  policy.authorized_services)
+        device.open_session(device.profile.slice_id,
+                            policy.authorized_services)
         self.ric.log_access(self.kernel.now, device.identity.cached_id,
-                            "delegated-grant",
-                            device.profile.slice_id)
+                            "delegated-grant", device.profile.slice_id)
         yield self.cfg.radio_latency_ms
         return "success"
 
@@ -563,8 +560,7 @@ class Simulation:
         yield delay_ms
         prob = self.cfg.probationary
         cid = device.identity.cached_id
-        opened = self._grant_local_session(device, prob.slice_id,
-                                           frozenset(prob.services))
+        opened = device.open_session(prob.slice_id, frozenset(prob.services))
         self.ric.log_access(self.kernel.now, cid, "probationary-admit",
                             f"{prob.slice_id}:{','.join(sorted(prob.services))}")
         yield self.cfg.radio_latency_ms
@@ -572,14 +568,6 @@ class Simulation:
             # a re-admission into an open session keeps its one poll
             self._schedule_deferred_poll(device)
         return "success"
-
-    def _grant_local_session(self, device: UeDevice, slice_id: str,
-                             services: frozenset[str]) -> bool:
-        """Grant a session at the RAN; True iff the device held none."""
-        opened = device.session_slice is None
-        device.session_slice = slice_id
-        device.session_services = services
-        return opened
 
     # -- probationary lifecycle --------------------------------------------
 
@@ -592,17 +580,15 @@ class Simulation:
         if device.session_slice != self.cfg.probationary.slice_id:
             return  # torn down, or on its own slice already
         ue_id = device.ue_id
-        if ue_id not in self._deferred_inflight:
-            health = self.ric.assessor.current(self.kernel.now)
-            if health.reachable:
-                self._deferred_inflight.add(ue_id)
-                self._start_attempt(device, "deferred")
+        if (ue_id not in self._deferred_inflight
+                and self.ric.assessor.last.reachable):
+            self._deferred_inflight.add(ue_id)
+            self._start_attempt(device, "deferred")
         self._schedule_deferred_poll(device)
 
     def _terminate_probationary(self, device: UeDevice, reason: str) -> None:
         cid = device.identity.cached_id
-        device.session_slice = None
-        device.session_services = frozenset()
+        device.end_session()
         self.ric.blacklist.add(cid)
         self.ric.log_access(self.kernel.now, cid, "terminated", reason)
 

@@ -89,9 +89,20 @@ class UeDevice:
         """Device-side chain, computed from its own root secret only."""
         if self.usim is None:
             raise crypto.MacFailure("device has no credentials")
-        k_ausf = self.usim.k.hmac_key.prf("AUSF",
-                                          serving_network.encode() + rand)
+        k_ausf = crypto.derive_k_ausf(self.usim.k.hmac_key, serving_network,
+                                      rand)
         return self.learn_hierarchy(k_ausf, serving_network)
+
+    def open_session(self, slice_id: str, services: frozenset[str]) -> bool:
+        """Hold a session on ``slice_id``; True iff the device held none."""
+        opened = self.session_slice is None
+        self.session_slice = slice_id
+        self.session_services = services
+        return opened
+
+    def end_session(self) -> None:
+        self.session_slice = None
+        self.session_services = frozenset()
 
     def express_response(self, nonce: bytes) -> bytes | None:
         """MAC under the K_NAS of the current anchor; None without one."""

@@ -87,6 +87,8 @@ class TestKSeaf:
         av = crypto.generate_av(root, SequenceState(), "net-a", random.Random(2))
         device_k_ausf = crypto.prf(root.value, "AUSF", b"net-a" + av.rand)
         assert device_k_ausf == av.k_derived
+        assert crypto.derive_k_ausf(root.hmac_key, "net-a",
+                                    av.rand) == device_k_ausf
         assert (crypto.derive_k_seaf(device_k_ausf, "net-a")
                 == crypto.derive_k_seaf(av.k_derived, "net-a"))
 

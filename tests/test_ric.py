@@ -117,7 +117,7 @@ class TestAssessor:
         profile = BackhaulProfile(base_latency_ms=base, bandwidth_bps=bandwidth,
                                   outages=list(outages))
         link = BackhaulLink(profile, random.Random(0), 1000)
-        return link, BackhaulAssessor(link, random.Random(1), 1000, 2000)
+        return link, BackhaulAssessor(link, random.Random(1), 2000)
 
     def test_steady_probes_converge_to_rtt(self):
         _, assessor = self.make(base=20)  # rtt samples are all 40 ms
@@ -144,13 +144,6 @@ class TestAssessor:
     def test_idle_link_reports_full_bandwidth(self):
         _, assessor = self.make(bandwidth=123_456)
         assert assessor.assess(0).available_bandwidth == 123_456
-
-    def test_stale_assessment_redone(self):
-        _, assessor = self.make()
-        first = assessor.current(0)
-        later = assessor.current(10_000)  # stale: > 2x probe interval
-        assert later.assessed_at == 10_000
-        assert first.assessed_at == 0
 
 
 class TestDosFilter:
@@ -207,7 +200,8 @@ def make_ric(outage=False, dos=False, probationary=True) -> Ric:
     profile = BackhaulProfile(base_latency_ms=20, bandwidth_bps=1_000_000,
                               outages=outages)
     link = BackhaulLink(profile, random.Random(0), 1000)
-    assessor = BackhaulAssessor(link, random.Random(1), 1000, 2000)
+    assessor = BackhaulAssessor(link, random.Random(1), 2000)
+    assessor.assess(0)  # a run probes at t=0, before any registration
     names = ["state-auth"] + (["probationary"] if probationary else [])
     xapps = [XAppDescriptor(name, 20) for name in names]
     return Ric(xapps, 0.1, assessor=assessor, cache=TtlCache(10_000),
@@ -323,21 +317,10 @@ class TestStructuralAudit:
             assert audit_type_for_root_secret(tp, target=Population) == []
 
 
-def test_cache_dump_format():
-    cache = TtlCache(10_000)
-    cache.store(make_entry())
-    lines = cache.dump(now=1000)
-    assert len(lines) == 1
-    kind, cid_hex, fp, remaining = lines[0].split()
-    assert kind == "decision"
-    assert cid_hex == ("01" * 32)
-    assert int(remaining) == HOUR_TTL - 1000
-
-
 @pytest.mark.parametrize("cls, names", [
     (TtlCache, ["capacity"]),
     (DosFilter, ["window_ms", "unknown_limit", "retry_limit"]),
-    (BackhaulAssessor, ["probe_interval_ms", "probe_timeout_ms"]),
+    (BackhaulAssessor, ["probe_timeout_ms"]),
     (Ric, ["bandwidth_free_fraction"]),
     (SubscriptionPolicy, ["qos_class"]),
 ])

@@ -10,9 +10,13 @@ from randelsim.harness import compare_designs, run_scenario
 from randelsim.kernel import Kernel
 from randelsim.scenario import (DESIGNS, config_from_dict, load_preset,
                                 preset_names)
+from randelsim.ric import (BackhaulAssessor, DecisionCacheEntry, Ric,
+                           StateCacheEntry)
 from randelsim.simulation import (BACKHAUL_MSGS_FULL_REG, BACKHAUL_MSGS_REAUTH,
-                                  CORE_HOPS_FULL_REG, RADIO_HOPS_FULL_REG,
-                                  Attempt, Population, Simulation)
+                                  CORE_HOPS_FULL_REG, CORE_HOPS_REAUTH,
+                                  HOME_MSGS_REFERRAL, RADIO_HOPS_FULL_REG,
+                                  RADIO_HOPS_REAUTH, Attempt, Population,
+                                  Simulation)
 from randelsim.ue import UeCohortSpec, UeDevice
 
 # Shared link parameters for the arithmetic oracles below: 512 B at 1 MB/s
@@ -66,6 +70,25 @@ class TestStandardFlowOracle:
         assert (reg.request_type, reauth.request_type) == ("registration",
                                                            "reauth")
         assert reauth.backhaul_msgs == BACKHAUL_MSGS_REAUTH
+        expected = (RADIO_HOPS_REAUTH * 2
+                    + BACKHAUL_MSGS_REAUTH * 51
+                    + CORE_HOPS_REAUTH * 1)
+        assert reauth.latency_ms == expected == 216
+
+    def test_roamer_registration_refers_to_its_home(self):
+        # the UDM hops go to the home network over the home link instead:
+        # two core hops become two home-link crossings at 51 ms each
+        cfg = make_config(cohorts=[one_ue(behavior="roamer",
+                                          home_network="net-home")])
+        (row,) = Simulation(cfg).run().rows
+        expected = (RADIO_HOPS_FULL_REG * 2
+                    + BACKHAUL_MSGS_FULL_REG * 51
+                    + (CORE_HOPS_FULL_REG - HOME_MSGS_REFERRAL) * 1
+                    + HOME_MSGS_REFERRAL * 51)
+        assert row.outcome == "success"
+        assert row.latency_ms == expected == 425
+        # only the primary link's crossings count as backhaul
+        assert row.backhaul_msgs == BACKHAUL_MSGS_FULL_REG
 
     def test_reauth_cadence_over_150s(self):
         # one registration at t=0, then re-auths at ~60 s and ~120 s
@@ -276,10 +299,14 @@ class TestDelegatedPath:
         # routing 10 + state-auth 20 + session-establish 20, 4 radio hops
         assert row.latency_ms == 50 + 4 * 2 == 58
 
-    def test_snapshot_policy_still_enforced(self):
-        report = Simulation(self.outage_config(service="drone-control")).run()
+    @pytest.mark.parametrize("overrides", [{"service": "drone-control"},
+                                           {"slice_id": "edge"}])
+    def test_snapshot_policy_still_enforced(self, overrides):
+        report = Simulation(self.outage_config(**overrides)).run()
         (row,) = report.rows
         assert (row.outcome, row.path) == ("policy-denied", "delegated")
+        # denied after the challenge, before the grant's radio hop
+        assert (row.latency_ms, row.backhaul_msgs) == (50 + 3 * 2, 0)
 
     def test_local_session_from_snapshot(self):
         sim = Simulation(self.outage_config(
@@ -298,12 +325,15 @@ class TestRanCache:
         cfg = load_preset("disaster").with_overrides(design=design)
         sim = Simulation(cfg)
         sim.run()
-        lines = sim.ric.cache.dump(cfg.horizon_ms)
-        assert lines
-        cids = [line.split()[1] for line in lines]
-        assert len(cids) == len(set(cids))
-        kind = "state" if design == "logic-replication" else "decision"
-        assert {line.split()[0] for line in lines} == {kind}
+        entries = sim.ric.cache._entries
+        assert entries
+        devices = {device.identity.cached_id
+                   for members in sim.cohorts.values() for device in members}
+        assert all(cid == entry.cached_id and cid in devices
+                   for cid, entry in entries.items())
+        kind = (StateCacheEntry if design == "logic-replication"
+                else DecisionCacheEntry)
+        assert {type(entry) for entry in entries.values()} == {kind}
 
 
 class TestProbationary:
@@ -470,6 +500,66 @@ class TestDeployedXapps:
         assert (ric.assessor is not None) == ("backhaul-assessor" in deployed)
         assert (ric.cache is not None) == ("decision-cache" in deployed)
         assert (ric.dos_filter is not None) == ("dos-filter" in deployed)
+
+
+class TestLinkHealth:
+    """Routing and the deferred-auth poll read the assessor's last probe.
+
+    The run probes at t=0 before any arrival and then once per probe
+    interval, so every reader finds a probe at most an interval old.
+    """
+
+    @pytest.fixture
+    def ages(self, monkeypatch):
+        """How old the last probe was at each route and each poll."""
+        probed, ages = {}, {"route": [], "poll": []}
+        assess = BackhaulAssessor.assess
+        route = Ric.route_registration
+        poll = Simulation._poll_deferred
+
+        def recorded_assess(assessor, now):
+            probed[assessor] = now
+            return assess(assessor, now)
+
+        def checked_route(ric, request, now):
+            ages["route"].append(now - probed[ric.assessor])
+            return route(ric, request, now)
+
+        def checked_poll(sim, device):
+            ages["poll"].append(sim.kernel.now - probed[sim.ric.assessor])
+            return poll(sim, device)
+
+        monkeypatch.setattr(BackhaulAssessor, "assess", recorded_assess)
+        monkeypatch.setattr(Ric, "route_registration", checked_route)
+        monkeypatch.setattr(Simulation, "_poll_deferred", checked_poll)
+        return ages
+
+    @staticmethod
+    def assert_within(ages, interval):
+        assert all(0 <= age <= interval
+                   for age in ages["route"] + ages["poll"])
+
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    @pytest.mark.parametrize("design", DESIGNS)
+    @pytest.mark.parametrize("preset", preset_names())
+    def test_presets_read_a_probe_at_most_an_interval_old(self, ages, preset,
+                                                          design, seed):
+        cfg = load_preset(preset).with_overrides(design=design)
+        Simulation(cfg, seed).run()
+        self.assert_within(ages, cfg.thresholds.probe_interval_ms)
+        routed = "routing" in cfg.deployed_xapps()
+        assert bool(ages["route"]) == routed
+
+    @pytest.mark.parametrize("workload", ("flood_filter", "design_sweep"))
+    def test_workloads_read_a_probe_at_most_an_interval_old(
+            self, ages, workloads, workload):
+        doc = workloads.scenario(workload, 1)
+        cfg = config_from_dict(workloads.scenario(workload, 1))
+        workloads.iterate(workload, doc, workloads.SetupClock())
+        self.assert_within(ages, cfg.thresholds.probe_interval_ms)
+        assert ages["route"]
+        # design_sweep's roamers arrive in its outage, so its polls run
+        assert bool(ages["poll"]) == (workload == "design_sweep")
 
 
 class TestLinkSendLog:

@@ -112,6 +112,18 @@ class TestUeDevice:
         with pytest.raises(crypto.MacFailure):
             device.respond_to_challenge(av.rand, av.autn)
 
+    def test_session_opens_once_and_ends(self):
+        device = make_device()
+        assert device.open_session("probation", frozenset({"messaging"}))
+        # a second grant replaces the session, it opens none
+        assert not device.open_session("default", frozenset({"data"}))
+        assert (device.session_slice, device.session_services) == (
+            "default", frozenset({"data"}))
+        device.end_session()
+        assert (device.session_slice, device.session_services) == (
+            None, frozenset())
+        assert device.open_session("default", frozenset({"data"}))
+
 
 def test_flood_cohort_identities_distinct():
     ids = {crypto.conceal_identity(f"atk-{i:04d}").cached_id
