@@ -23,13 +23,10 @@ class AuthRequired(Exception):
 class SubscriptionPolicy:
     allowed_slices: frozenset[str]
     authorized_services: frozenset[str]
-    qos_class: str
 
     def __post_init__(self):
         if not self.allowed_slices:
             raise ValueError("allowed_slices must be nonempty")
-        if self.qos_class not in ("low-latency", "best-effort"):
-            raise ValueError("qos_class must be 'low-latency' or 'best-effort'")
 
     def admit(self, slice_id: str, service: str | None) -> None:
         """The one admission rule, at the core or on a RAN-side snapshot."""

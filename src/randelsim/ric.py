@@ -18,12 +18,11 @@ from .crypto import RootSecret, derive_k_nas
 
 XAPP_DELAY_MIN_MS = 10
 XAPP_DELAY_MAX_MS = 1000
-# processing delay of each xApp a design can deploy, in ms
+# processing delay of each xApp on a request's path, in ms; the routing
+# xApp's covers the assessor and the DoS filter, which it reads
 DEFAULT_XAPP_DELAYS = {
     "routing": 10,
     "decision-cache": 15,
-    "backhaul-assessor": 10,
-    "dos-filter": 10,
     "state-auth": 20,
     "session-establish": 20,
     "probationary": 20,
@@ -267,34 +266,39 @@ class Ric:
     ) -> tuple[RoutingDecision, str, DecisionCacheEntry | None]:
         """Total decision procedure: (decision, reason tag, cache entry).
 
-        The entry is the live cache entry an EXPRESS or DELEGATED decision
-        was made on, and None for every other decision. The cache is looked
-        up at most once, and only where one of those two could follow. Link
-        health is the assessor's last probe.
+        Screens the request by the blacklist and the DoS filter, then
+        ``choose_path``. The entry is the live cache entry an EXPRESS or
+        DELEGATED decision was made on, and None for every other decision.
         """
         cid = request.cached_id
-        known = cid in self.known_ids
         if cid in self.blacklist:
             return RoutingDecision.REJECT, "blacklisted", None
         if self.dos_filter is not None:
-            if not self.dos_filter.check(cid, known, now):
+            if not self.dos_filter.check(cid, cid in self.known_ids, now):
                 return RoutingDecision.REJECT, "filtered", None
-        entry, looked_up = None, False
-        if request.express_eligible and self.cache is not None:
-            entry, looked_up = self.cache.lookup(cid, now), True
-            if entry is not None:
-                return RoutingDecision.EXPRESS, "decision-cache-hit", entry
-        if self.assessor is not None:
-            health = self.assessor.last
-            threshold = (self.bandwidth_free_fraction
-                         * self.assessor.link.profile.bandwidth_bps)
-            if health.reachable and health.available_bandwidth >= threshold:
-                return RoutingDecision.STANDARD, "backhaul-healthy", None
-        if not looked_up and "state-auth" in self.xapps:
+        return self.choose_path(request, now)
+
+    def choose_path(
+            self, request: RegistrationRequest, now: int
+    ) -> tuple[RoutingDecision, str, DecisionCacheEntry | None]:
+        """The path of a screened request. The cache is looked up at most
+        once, and only where an EXPRESS or DELEGATED decision could follow.
+        Link health is the assessor's last probe."""
+        cid = request.cached_id
+        eligible = request.express_eligible
+        entry = self.cache.lookup(cid, now) if eligible else None
+        if entry is not None:
+            return RoutingDecision.EXPRESS, "decision-cache-hit", entry
+        health = self.assessor.last
+        threshold = (self.bandwidth_free_fraction
+                     * self.assessor.link.profile.bandwidth_bps)
+        if health.reachable and health.available_bandwidth >= threshold:
+            return RoutingDecision.STANDARD, "backhaul-healthy", None
+        if not eligible and "state-auth" in self.xapps:
             entry = self.cache.lookup(cid, now)
         if isinstance(entry, StateCacheEntry):
             return RoutingDecision.DELEGATED, "state-cache-hit", entry
-        unknown_roamer = (not known
+        unknown_roamer = (cid not in self.known_ids
                           and request.home_network != request.serving_network)
         if "probationary" in self.xapps and unknown_roamer:
             return RoutingDecision.PROBATIONARY, "unknown-roamer", None

@@ -121,8 +121,7 @@ class ScenarioConfig:
             cohorts.add(spec.cohort)
             try:
                 SubscriptionPolicy(frozenset(spec.allowed_slices),
-                                   frozenset(spec.authorized_services),
-                                   spec.qos_class)
+                                   frozenset(spec.authorized_services))
             except ValueError as exc:
                 raise _field_error(where, exc, UeCohortSpec) from exc
         for i, pw in enumerate(self.prewarm):

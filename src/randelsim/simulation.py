@@ -168,7 +168,8 @@ class Simulation:
         cfg, th = self.cfg, self.cfg.thresholds
         deployed = cfg.deployed_xapps()
         xapps = [XAppDescriptor(name, cfg.xapp_delays_ms.get(
-                     name, DEFAULT_XAPP_DELAYS[name])) for name in deployed]
+                     name, DEFAULT_XAPP_DELAYS[name]))
+                 for name in deployed if name in DEFAULT_XAPP_DELAYS]
         assessor = cache = dos = None
         if "backhaul-assessor" in deployed:
             assessor = BackhaulAssessor(
@@ -196,8 +197,7 @@ class Simulation:
             if home_keys is not None:
                 policy = SubscriptionPolicy(
                     allowed_slices=frozenset(spec.allowed_slices),
-                    authorized_services=frozenset(spec.authorized_services),
-                    qos_class=spec.qos_class)
+                    authorized_services=frozenset(spec.authorized_services))
                 core = self.serving if home == sn else self._home_core(home)
             members = self.cohorts[spec.cohort] = []
             for i, identity in enumerate(identities):
@@ -276,9 +276,7 @@ class Simulation:
 
     def _probe(self) -> None:
         self.ric.assessor.assess(self.kernel.now)
-        interval = self.cfg.thresholds.probe_interval_ms
-        if self.kernel.now + interval <= self.cfg.horizon_ms:
-            self.kernel.schedule(interval, self._probe)
+        self.kernel.schedule(self.cfg.thresholds.probe_interval_ms, self._probe)
 
     def _schedule_arrivals(self) -> None:
         """Plan every arrival in a reserved slot; queue only the first.
@@ -327,8 +325,9 @@ class Simulation:
         self.kernel.schedule(self.cfg.radio_latency_ms,
                              lambda: self._resume(att, self._route(att)))
 
-    def _route(self, att: Attempt):
-        """Pick the attempt's path now; the flow that runs it."""
+    def _route(self, att: Attempt, screened: bool = False):
+        """Pick the attempt's path now; the flow that runs it. An attempt
+        routed again was ``screened`` already, so only its path is chosen."""
         device = att.device
         # a deferred auth settles through the core
         if att.request_type == "deferred" or "routing" not in self.ric.xapps:
@@ -340,8 +339,9 @@ class Simulation:
                               or self.cfg.serving_network),
                 serving_network=self.cfg.serving_network,
                 express_eligible=device.profile.express_eligible)
-            decision, reason, entry = self.ric.route_registration(
-                request, self.kernel.now)
+            decide = (self.ric.choose_path if screened
+                      else self.ric.route_registration)
+            decision, reason, entry = decide(request, self.kernel.now)
         att.path = decision.value
         delay = self.ric.xapp_delay
         routing_delay = delay("routing")
@@ -378,12 +378,11 @@ class Simulation:
             backhaul_bytes=att.backhaul_bytes))
         if outcome == "success":
             # a probationary admission is renewed by its deferred auth
-            interval = self.cfg.reauth_interval_ms
             if (att.path != "probationary"
-                    and device.profile.behavior in ("interactive", "roamer")
-                    and now + interval <= self.cfg.horizon_ms):
+                    and device.profile.behavior in ("interactive", "roamer")):
                 self.kernel.schedule(
-                    interval, lambda: self._start_attempt(device, "reauth"))
+                    self.cfg.reauth_interval_ms,
+                    lambda: self._start_attempt(device, "reauth"))
         elif att.request_type == "reauth":
             # failed re-authentication tears the session down
             device.end_session()
@@ -532,8 +531,8 @@ class Simulation:
         if not (yield from self._local_challenge(device, entry, delay_ms)):
             return "rejected"
         if not entry.live(self.kernel.now):
-            # entry expired mid-flow: fall back to the routing procedure
-            return (yield from self._route(att))
+            # entry expired mid-flow: choose the path again
+            return (yield from self._route(att, screened=True))
         device.open_session(entry.slice_grant, device.session_services
                             or frozenset({device.profile.service or "data"}))
         yield self.cfg.radio_latency_ms  # grant
@@ -566,15 +565,11 @@ class Simulation:
         yield self.cfg.radio_latency_ms
         if opened:
             # a re-admission into an open session keeps its one poll
-            self._schedule_deferred_poll(device)
+            self.kernel.schedule(self.cfg.thresholds.probe_interval_ms,
+                                 lambda: self._poll_deferred(device))
         return "success"
 
     # -- probationary lifecycle --------------------------------------------
-
-    def _schedule_deferred_poll(self, device: UeDevice) -> None:
-        interval = self.cfg.thresholds.probe_interval_ms
-        if self.kernel.now + interval <= self.cfg.horizon_ms:
-            self.kernel.schedule(interval, lambda: self._poll_deferred(device))
 
     def _poll_deferred(self, device: UeDevice) -> None:
         if device.session_slice != self.cfg.probationary.slice_id:
@@ -584,7 +579,8 @@ class Simulation:
                 and self.ric.assessor.last.reachable):
             self._deferred_inflight.add(ue_id)
             self._start_attempt(device, "deferred")
-        self._schedule_deferred_poll(device)
+        self.kernel.schedule(self.cfg.thresholds.probe_interval_ms,
+                             lambda: self._poll_deferred(device))
 
     def _terminate_probationary(self, device: UeDevice, reason: str) -> None:
         cid = device.identity.cached_id

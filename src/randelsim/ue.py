@@ -53,7 +53,6 @@ class UeCohortSpec:
     period_ms: int = field(default=120_000, metadata={"min": 1})
     allowed_slices: tuple[str, ...] = ("default",)
     authorized_services: tuple[str, ...] = ("data",)
-    qos_class: str = "best-effort"
     corrupt_key: bool = False
 
     def __post_init__(self):

@@ -115,6 +115,9 @@ class TestExitCodes:
         ("ues[0].allowed_slices", []),
         ("dos_fitler", True),
         ("xapp_delays_ms.nonexistent", 20),
+        # the assessor and the filter carry no delay of their own
+        ("xapp_delays_ms.dos-filter", 20),
+        ("xapp_delays_ms.backhaul-assessor", 20),
         ("request_timeout_ms", 2),  # zta's radio latency
         pytest.param("backhaul.bandwidth_bps", 10**400,
                      id="backhaul.bandwidth_bps-10**400"),

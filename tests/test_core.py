@@ -10,8 +10,7 @@ from randelsim.crypto import RootSecret, SequenceState
 
 def make_policy(slices=("default",), services=("data",)) -> SubscriptionPolicy:
     return SubscriptionPolicy(allowed_slices=frozenset(slices),
-                              authorized_services=frozenset(services),
-                              qos_class="best-effort")
+                              authorized_services=frozenset(services))
 
 
 def make_record(supi: str, home: str = "net-a") -> SubscriberRecord:
@@ -122,5 +121,4 @@ class TestEstablishSession:
 def test_policy_requires_nonempty_slices():
     with pytest.raises(ValueError):
         SubscriptionPolicy(allowed_slices=frozenset(),
-                           authorized_services=frozenset({"data"}),
-                           qos_class="best-effort")
+                           authorized_services=frozenset({"data"}))

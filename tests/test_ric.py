@@ -21,8 +21,7 @@ def make_entry(cached_id=b"\x01" * 32, ttl=HOUR_TTL, created_at=0,
                     slice_grant="default", ttl=ttl, created_at=created_at)
     if state:
         policy = SubscriptionPolicy(allowed_slices=frozenset({"default"}),
-                                    authorized_services=frozenset({"data"}),
-                                    qos_class="best-effort")
+                                    authorized_services=frozenset({"data"}))
         return StateCacheEntry(**decision, control_plane_state=policy)
     return DecisionCacheEntry(**decision)
 
@@ -322,7 +321,6 @@ class TestStructuralAudit:
     (DosFilter, ["window_ms", "unknown_limit", "retry_limit"]),
     (BackhaulAssessor, ["probe_timeout_ms"]),
     (Ric, ["bandwidth_free_fraction"]),
-    (SubscriptionPolicy, ["qos_class"]),
 ])
 def test_scenario_settings_have_no_second_default(cls, names):
     # each default lives in its scenario field; the constructor takes it

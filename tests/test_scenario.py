@@ -123,6 +123,8 @@ class TestConfigFromDict:
         ("ues[0].allowed_slices", "default", "ues[0].allowed_slices"),
         ("ues[0].allowed_slices", [], "ues[0].allowed_slices"),
         ("ues[0].qos_class", "gold", "ues[0].qos_class"),
+        # no rule reads a QoS class, so a scenario cannot set one
+        ("ues[0].qos_class", "best-effort", "ues[0].qos_class"),
         ("ues", [], "ues"),
         ("message_bytes.default", -1, "message_bytes.default"),
         ("xapp_delays_ms.nonexistent", 20, "xapp_delays_ms.nonexistent"),

@@ -10,8 +10,8 @@ from randelsim.harness import compare_designs, run_scenario
 from randelsim.kernel import Kernel
 from randelsim.scenario import (DESIGNS, config_from_dict, load_preset,
                                 preset_names)
-from randelsim.ric import (BackhaulAssessor, DecisionCacheEntry, Ric,
-                           StateCacheEntry)
+from randelsim.ric import (DEFAULT_XAPP_DELAYS, BackhaulAssessor,
+                           DecisionCacheEntry, Ric, StateCacheEntry)
 from randelsim.simulation import (BACKHAUL_MSGS_FULL_REG, BACKHAUL_MSGS_REAUTH,
                                   CORE_HOPS_FULL_REG, CORE_HOPS_REAUTH,
                                   HOME_MSGS_REFERRAL, RADIO_HOPS_FULL_REG,
@@ -266,16 +266,20 @@ class TestExpressPath:
         (row,) = report.rows
         assert (row.outcome, row.path) == ("success", "standard")
 
-    @pytest.mark.parametrize("backhaul, expected", [
+    @pytest.mark.parametrize("extra, expected", [
         # routed again at 31 ms: a full registration, routing included
         ({}, ("success", "standard", 31 + 10 + 325 - 2, 6)),
         # routed again into the outage: refused where the challenge ended
-        ({"outages": [[0, 10_000]]}, ("rejected", "reject", 31, 0)),
+        ({"backhaul": {"outages": [[0, 10_000]]}},
+         ("rejected", "reject", 31, 0)),
+        # the filter screens the attempt once, not again when it is routed
+        ({"dos_filter": True, "thresholds": {"dos_retry_limit": 1}},
+         ("success", "standard", 31 + 10 + 325 - 2, 6)),
     ])
-    def test_entry_expiring_mid_challenge_is_routed_again(self, backhaul,
+    def test_entry_expiring_mid_challenge_is_routed_again(self, extra,
                                                           expected):
         # live at the 2 ms route, expired by the end of the 31 ms challenge
-        cfg = self.prewarmed_config(horizon=10_000, backhaul=backhaul)
+        cfg = self.prewarmed_config(horizon=10_000, **extra)
         cfg.prewarm[0].ttl_ms = 20
         report = Simulation(cfg).run()
         (row,) = report.rows
@@ -496,10 +500,43 @@ class TestDeployedXapps:
                           probationary={"enabled": probationary})
         ric = Simulation(cfg).ric
         deployed = cfg.deployed_xapps()
-        assert tuple(ric.xapps) == deployed
+        assert tuple(ric.xapps) == tuple(name for name in deployed
+                                         if name in DEFAULT_XAPP_DELAYS)
         assert (ric.assessor is not None) == ("backhaul-assessor" in deployed)
         assert (ric.cache is not None) == ("decision-cache" in deployed)
         assert (ric.dos_filter is not None) == ("dos-filter" in deployed)
+
+
+class TestXappDelays:
+    # for each xApp with a delay: a config whose first attempt passes it,
+    # and that attempt's path
+    ATTEMPTS = {
+        "routing": (lambda: make_config(design="decision-cache"), "standard"),
+        "decision-cache": (
+            lambda: TestExpressPath().prewarmed_config(horizon=10_000),
+            "express"),
+        "state-auth": (lambda: TestDelegatedPath().outage_config(),
+                       "delegated"),
+        "session-establish": (lambda: TestDelegatedPath().outage_config(),
+                              "delegated"),
+        "probationary": (lambda: TestProbationary().roamer_config(),
+                         "probationary"),
+    }
+
+    def test_every_xapp_with_a_delay_is_on_a_path(self):
+        assert set(DEFAULT_XAPP_DELAYS) == set(self.ATTEMPTS)
+
+    @pytest.mark.parametrize("xapp", DEFAULT_XAPP_DELAYS)
+    def test_one_ms_more_delay_is_one_ms_more_latency(self, xapp):
+        make, path = self.ATTEMPTS[xapp]
+        latencies = []
+        for extra in (0, 1):
+            cfg = make()
+            cfg.xapp_delays_ms[xapp] = DEFAULT_XAPP_DELAYS[xapp] + extra
+            first = Simulation(cfg).run().rows[0]
+            assert first.path == path
+            latencies.append(first.latency_ms)
+        assert latencies[1] == latencies[0] + 1
 
 
 class TestLinkHealth:
