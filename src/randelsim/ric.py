@@ -9,7 +9,6 @@ import typing
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 from .backhaul import BackhaulLink
@@ -44,7 +43,10 @@ class InvalidBudget(Exception):
     pass
 
 
-class RoutingDecision(Enum):
+class RoutingDecision:
+    """The paths routing chooses from: the values of the CSV ``path`` column.
+    A ``REJECT`` attempt is refused where it is routed."""
+
     STANDARD = "standard"
     EXPRESS = "express"
     DELEGATED = "delegated"
@@ -228,7 +230,7 @@ class DosFilter:
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RegistrationRequest:
     cached_id: bytes
     home_network: str
@@ -254,16 +256,11 @@ class Ric:
         self.access_log: list[tuple[int, str, str, str]] = []  # (t, id hex8, event, detail)
         self._nonce_counter = 0
 
-    # -- xApps -------------------------------------------------------------
-
-    def xapp_delay(self, name: str) -> int:
-        return self.xapps[name].processing_delay if name in self.xapps else 0
-
     # -- routing -----------------------------------------------------------
 
     def route_registration(
             self, request: RegistrationRequest, now: int
-    ) -> tuple[RoutingDecision, str, DecisionCacheEntry | None]:
+    ) -> tuple[str, str, DecisionCacheEntry | None]:
         """Total decision procedure: (decision, reason tag, cache entry).
 
         Screens the request by the blacklist and the DoS filter, then
@@ -280,7 +277,7 @@ class Ric:
 
     def choose_path(
             self, request: RegistrationRequest, now: int
-    ) -> tuple[RoutingDecision, str, DecisionCacheEntry | None]:
+    ) -> tuple[str, str, DecisionCacheEntry | None]:
         """The path of a screened request. The cache is looked up at most
         once, and only where an EXPRESS or DELEGATED decision could follow.
         Link health is the assessor's last probe."""

@@ -4,8 +4,9 @@ Registration attempts run as generator-based protocol flows. Each yield is
 the delay in ms until the flow's next step: a radio hop, a core-internal hop,
 xApp processing, or a message carried between cores by ``_cross`` (which
 yields ``None`` when the link loses the message). ``_route`` picks an
-attempt's path and returns its flow, which returns the attempt's outcome; a
-refused attempt gets a flow with no steps.
+attempt's path and returns its flow, which returns the attempt's outcome. A
+refused attempt has no flow: ``_route`` returns its outcome, and the attempt
+is finalized where it was routed.
 
 ``_resume`` is the one place that decides what comes next: the step, if it
 lands before the attempt's deadline, or else the request timeout. It is also
@@ -40,7 +41,7 @@ from .kernel import Kernel, seeded_stream
 from .metrics import MetricsReport, OutcomeRow
 from .ric import (DEFAULT_XAPP_DELAYS, BackhaulAssessor,
                   DecisionCacheEntry, DosFilter, RegistrationRequest, Ric,
-                  RoutingDecision, StateCacheEntry, TtlCache, XAppDescriptor)
+                  StateCacheEntry, TtlCache, XAppDescriptor)
 from .scenario import ScenarioConfig
 from .ue import (UeCohortSpec, UeDevice, cohort_arrival_times,
                  sensor_attempt_times)
@@ -159,6 +160,16 @@ class Simulation:
         self._deferred_inflight: set[str] = set()
 
         self.ric = self._build_ric()
+        # the xApp delays each routed path charges; 0 for an xApp not deployed
+        delay = {name: x.processing_delay for name, x in self.ric.xapps.items()}
+        routing = delay.get("routing", 0)
+        self._path_delays = {
+            "standard": routing,
+            "express": routing + delay.get("decision-cache", 0),
+            "delegated": (routing + delay.get("state-auth", 0)
+                          + delay.get("session-establish", 0)),
+            "probationary": routing + delay.get("probationary", 0),
+        }
         self._build_population(population)
         self._prewarm_caches()
 
@@ -323,15 +334,26 @@ class Simulation:
         self._open[att.timeout_seq] = att
         # one radio hop carries the request from the device to the RAN
         self.kernel.schedule(self.cfg.radio_latency_ms,
-                             lambda: self._resume(att, self._route(att)))
+                             lambda: self._at_ran(att))
+
+    def _at_ran(self, att: Attempt) -> None:
+        """Route an attempt that reached the RAN: a refusal ends it here."""
+        flow = self._route(att)
+        if isinstance(flow, str):
+            self._finalize(att, flow)
+        else:
+            self._resume(att, flow)
 
     def _route(self, att: Attempt, screened: bool = False):
-        """Pick the attempt's path now; the flow that runs it. An attempt
-        routed again was ``screened`` already, so only its path is chosen."""
+        """Pick the attempt's path now, as ``att.path``; the flow that runs
+        it, or a refused attempt's outcome (``"filtered"`` for a filtered or
+        blacklisted id, else ``"rejected"``), which is charged no xApp
+        delay. An attempt routed again was ``screened`` already, so only its
+        path is chosen."""
         device = att.device
         # a deferred auth settles through the core
         if att.request_type == "deferred" or "routing" not in self.ric.xapps:
-            decision, reason, entry = RoutingDecision.STANDARD, "forced", None
+            path, reason, entry = "standard", "forced", None
         else:
             request = RegistrationRequest(
                 cached_id=device.identity.cached_id,
@@ -341,30 +363,19 @@ class Simulation:
                 express_eligible=device.profile.express_eligible)
             decide = (self.ric.choose_path if screened
                       else self.ric.route_registration)
-            decision, reason, entry = decide(request, self.kernel.now)
-        att.path = decision.value
-        delay = self.ric.xapp_delay
-        routing_delay = delay("routing")
-        if decision is RoutingDecision.STANDARD:
-            return self._standard_flow(att, device, routing_delay)
-        if decision is RoutingDecision.EXPRESS:
-            return self._express_flow(att, device, entry, routing_delay
-                                      + delay("decision-cache"))
-        if decision is RoutingDecision.DELEGATED:
-            return self._delegated_flow(att, device, entry, routing_delay
-                                        + delay("state-auth")
-                                        + delay("session-establish"))
-        if decision is RoutingDecision.PROBATIONARY:
-            return self._probationary_flow(att, device, routing_delay
-                                           + delay("probationary"))
-        return self._refused("filtered" if reason in ("filtered", "blacklisted")
-                             else "rejected")
-
-    @staticmethod
-    def _refused(outcome: str):
-        """A flow with no steps."""
-        return outcome
-        yield  # a generator, like every other flow
+            path, reason, entry = decide(request, self.kernel.now)
+        att.path = path
+        if path == "reject":
+            return ("filtered" if reason in ("filtered", "blacklisted")
+                    else "rejected")
+        delay = self._path_delays[path]
+        if path == "standard":
+            return self._standard_flow(att, device, delay)
+        if path == "express":
+            return self._express_flow(att, device, entry, delay)
+        if path == "delegated":
+            return self._delegated_flow(att, device, entry, delay)
+        return self._probationary_flow(att, device, delay)
 
     def _finalize(self, att: Attempt, outcome: str) -> None:
         del self._open[att.timeout_seq]
@@ -532,7 +543,8 @@ class Simulation:
             return "rejected"
         if not entry.live(self.kernel.now):
             # entry expired mid-flow: choose the path again
-            return (yield from self._route(att, screened=True))
+            flow = self._route(att, screened=True)
+            return flow if isinstance(flow, str) else (yield from flow)
         device.open_session(entry.slice_grant, device.session_services
                             or frozenset({device.profile.service or "data"}))
         yield self.cfg.radio_latency_ms  # grant

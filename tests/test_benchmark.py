@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import randelsim
+from randelsim.kernel import Kernel
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -46,3 +47,22 @@ def test_traced_workload_passes_the_output_gate(workload):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True
+
+
+@pytest.mark.parametrize("workload, events", [("flood_filter", 24_442),
+                                              ("design_sweep", 33_083)])
+def test_workload_processes_its_pinned_event_count(workloads, monkeypatch,
+                                                   workload, events):
+    # the kernel events of one iteration at seed 1; a change that adds or
+    # removes an event, on any path, edits this count on purpose
+    processed = []
+    run_until = Kernel.run_until
+
+    def counted(kernel, t_end):
+        processed.append(run_until(kernel, t_end))
+        return processed[-1]
+
+    monkeypatch.setattr(Kernel, "run_until", counted)
+    workloads.iterate(workload, workloads.scenario(workload, 1),
+                      workloads.SetupClock())
+    assert sum(processed) == events

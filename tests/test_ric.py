@@ -7,12 +7,16 @@ from hypothesis import given, strategies as st
 
 from randelsim.backhaul import BackhaulLink, BackhaulProfile
 from randelsim.core import SubscriptionPolicy
+from randelsim.harness import compare_designs
 from randelsim.ric import (BackhaulAssessor, DecisionCacheEntry, DosFilter,
                            InvalidBudget, RegistrationRequest, Ric,
                            RoutingDecision, StateCacheEntry, TtlCache,
                            XAppDescriptor, audit_type_for_root_secret)
+from randelsim.scenario import load_preset, preset_names
 
 HOUR_TTL = 3_600_000  # the canonical 60:00 m example
+# the values of the CSV ``path`` column
+PATHS = ("standard", "express", "delegated", "probationary", "reject")
 
 
 def make_entry(cached_id=b"\x01" * 32, ttl=HOUR_TTL, created_at=0,
@@ -274,10 +278,16 @@ class TestRouteRegistration:
         ric.cache.store(make_entry(cached_id=cid, state=with_state))
         request = make_request(cached_id=cid, express=express, home=home)
         decision, reason, entry = ric.route_registration(request, now=5)
-        assert isinstance(decision, RoutingDecision)
+        assert decision in PATHS
         assert isinstance(reason, str)
         assert (entry is not None) == (decision in (RoutingDecision.EXPRESS,
                                                     RoutingDecision.DELEGATED))
+
+    @pytest.mark.parametrize("preset", preset_names())
+    def test_every_preset_row_takes_a_path(self, preset):
+        comparison = compare_designs(load_preset(preset), seed=1)
+        for report in comparison.reports.values():
+            assert {row.path for row in report.rows} <= set(PATHS)
 
 
 class TestStructuralAudit:

@@ -456,6 +456,53 @@ class TestProbationary:
         assert (first.path, first.outcome) == ("reject", "rejected")
 
 
+class TestRefusedAttempts:
+    """A refused attempt ends where it is routed, one radio hop in: no
+    xApp delay is charged (unlike the express fallback's re-route) and
+    nothing crosses the backhaul."""
+
+    @staticmethod
+    def sensor_config():
+        # known and express-eligible; its second attempt, 500 ms after the
+        # first, exceeds a retry limit of 1 per 1,000 ms window
+        return make_config(
+            design="decision-cache", horizon=1000, dos_filter=True,
+            thresholds={"dos_retry_limit": 1},
+            cohorts=[one_ue(behavior="periodic-sensor", period_ms=500,
+                            express_eligible=True)],
+            prewarm=[{"cohort": "solo"}])
+
+    @pytest.mark.parametrize("make, blacklisted, outcome", [
+        # the DoS filter drops an unknown id over the unknown-rate limit
+        (lambda: make_config(design="decision-cache", dos_filter=True,
+                             thresholds={"dos_unknown_per_window": 0}),
+         False, "filtered"),
+        # the DoS filter drops an id over its per-id retry limit
+        (sensor_config, False, "filtered"),
+        # a terminated probationer's id is blacklisted
+        (lambda: make_config(design="decision-cache"), True, "filtered"),
+        # outage, no cache entry, no probation: no path
+        (lambda: make_config(design="decision-cache",
+                             backhaul={"outages": [[0, 30_000]]}),
+         False, "rejected"),
+    ], ids=["unknown-rate", "retry-limit", "blacklisted", "no-path"])
+    def test_refused_row(self, make, blacklisted, outcome):
+        cfg = make()
+        sim = Simulation(cfg)
+        if blacklisted:
+            (device,) = sim.cohorts["solo"]
+            sim.ric.blacklist.add(device.identity.cached_id)
+        row = sim.run().rows[-1]
+        assert (row.outcome, row.path, row.latency_ms, row.backhaul_msgs,
+                row.backhaul_bytes) == (outcome, "reject",
+                                        cfg.radio_latency_ms, 0, 0)
+
+    def test_retry_limit_passes_the_first_attempt(self):
+        first, second = Simulation(self.sensor_config()).run().rows
+        assert (first.outcome, first.path) == ("success", "express")
+        assert (second.outcome, second.path) == ("filtered", "reject")
+
+
 class TestAccounting:
     @pytest.mark.parametrize("design", DESIGNS)
     def test_attempts_count_every_send_on_the_link(self, design):
