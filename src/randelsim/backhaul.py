@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
+
+_start = itemgetter(0)
 
 
 @dataclass
@@ -37,17 +41,20 @@ class BackhaulProfile:
             prev_end = iv[1]
 
     def in_outage(self, t: int) -> bool:
-        for start, end in self.outages:
-            if start <= t < end:
-                return True
-        return False
+        """True iff ``t`` lies in an outage. Outages are sorted and disjoint,
+        as ``validate`` checks, so only the last one that starts at or
+        before ``t`` can hold it; a bisect over the starts finds it."""
+        outages = self.outages
+        i = bisect_right(outages, t, key=_start)
+        return i > 0 and t < outages[i - 1][1]
 
 
 class BackhaulLink:
     """Half-duplex FIFO link.
 
     A link built with a utilization window keeps the sends of the last
-    window, which is all ``utilization`` reads; one built without keeps none.
+    window and their byte total, which is all ``utilization`` reads; one
+    built without keeps none.
     """
 
     def __init__(self, profile: BackhaulProfile, rng: random.Random,
@@ -60,6 +67,7 @@ class BackhaulLink:
         self._busy_until = 0
         self.utilization_window_ms = utilization_window_ms
         self._send_log: deque[tuple[int, int]] = deque()  # (time, bytes)
+        self._logged_bytes = 0  # the sum of the log's bytes
 
     def serialization_ms(self, size: int) -> int:
         return math.ceil(size * 1000 / self.profile.bandwidth_bps)
@@ -70,6 +78,7 @@ class BackhaulLink:
         if window is not None:
             self._trim(at - window)
             self._send_log.append((at, size))
+            self._logged_bytes += size
         p = self.profile
         if p.in_outage(at):
             return None
@@ -85,16 +94,16 @@ class BackhaulLink:
         return delivery
 
     def utilization(self, now: int) -> int:
-        """Bytes sent within [now - window, now]."""
+        """Bytes sent within [now - window, now]; no send is after ``now``,
+        since virtual time never decreases."""
         window = self.utilization_window_ms
         if window is None:
             raise ValueError("link was built without a utilization window")
         self._trim(now - window)
-        return sum(size for t, size in self._send_log
-                   if now - window <= t <= now)
+        return self._logged_bytes
 
     def _trim(self, oldest: int) -> None:
         """Drop the sends made before ``oldest``."""
         log = self._send_log
         while log and log[0][0] < oldest:
-            log.popleft()
+            self._logged_bytes -= log.popleft()[1]

@@ -193,7 +193,7 @@ def conceal_identity(supi: str) -> UeIdentity:
     outer.update(inner.digest())
     suci = "suci-" + outer.hexdigest()[:32]
     cached_id = _sha256(suci.encode()).digest()
-    return UeIdentity(supi=supi, suci=suci, cached_id=cached_id)
+    return UeIdentity(supi, suci, cached_id)
 
 
 def _mac_over(k: HmacKey, sqn: int, rand: bytes) -> bytes:

@@ -43,10 +43,12 @@ class Kernel:
         heapq.heappush(self._heap, (self.now + int(delay), self._seq, action))
         return self._seq
 
-    def reserve(self) -> int:
-        """Take the next sequence number for a later ``schedule_at``."""
-        self._seq += 1
-        return self._seq
+    def reserve(self, count: int = 1) -> int:
+        """Take the next ``count`` (>= 0) sequence numbers for later
+        ``schedule_at`` calls; returns the first of them."""
+        first = self._seq + 1
+        self._seq += count
+        return first
 
     def schedule_at(self, when: int, seq: int,
                     action: Callable[[], None]) -> None:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -33,16 +32,22 @@ def percentile(values: list[int], q: float) -> int:
 
 def aggregate(rows: list[OutcomeRow], dropped_by_filter: int,
               audit_flags: list[str]) -> dict:
-    by_cohort: dict[str, list[OutcomeRow]] = {}
-    by_path: dict[str, list[int]] = {}
+    """A run's aggregates, counted in one pass over its rows."""
+    tries: dict[str, list[int]] = {}  # cohort -> [attempts, successes]
+    by_path: dict[str, list[int]] = {}  # path -> success latencies
+    msgs = size = 0
     for row in rows:
-        by_cohort.setdefault(row.cohort, []).append(row)
+        counts = tries.get(row.cohort)
+        if counts is None:
+            counts = tries[row.cohort] = [0, 0]
+        counts[0] += 1
         if row.outcome == "success":
+            counts[1] += 1
             by_path.setdefault(row.path, []).append(row.latency_ms)
-    success_rate = {
-        cohort: sum(1 for r in rs if r.outcome == "success") / len(rs)
-        for cohort, rs in sorted(by_cohort.items())
-    }
+        msgs += row.backhaul_msgs
+        size += row.backhaul_bytes
+    success_rate = {cohort: successes / attempts
+                    for cohort, (attempts, successes) in sorted(tries.items())}
     latency = {
         path: {"p50": percentile(vals, 0.50), "p95": percentile(vals, 0.95)}
         for path, vals in sorted(by_path.items())
@@ -51,8 +56,8 @@ def aggregate(rows: list[OutcomeRow], dropped_by_filter: int,
         "attempts": len(rows),
         "success_rate_by_cohort": success_rate,
         "latency_by_path": latency,
-        "total_backhaul_msgs": sum(r.backhaul_msgs for r in rows),
-        "total_backhaul_bytes": sum(r.backhaul_bytes for r in rows),
+        "total_backhaul_msgs": msgs,
+        "total_backhaul_bytes": size,
         "dropped_by_filter": dropped_by_filter,
         "security_audit_flags": sorted(audit_flags),
     }
@@ -75,13 +80,10 @@ class MetricsReport:
         return aggregate(self.rows, self.dropped_by_filter, self.audit_flags)
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write(",".join(CSV_COLUMNS) + "\n")
-        for r in self.rows:
-            out.write(f"{self.scenario},{self.design},{self.seed},{r.ue_id},"
-                      f"{r.outcome},{r.path},{r.latency_ms},"
-                      f"{r.backhaul_msgs},{r.backhaul_bytes}\n")
-        return out.getvalue()
+        prefix = f"{self.scenario},{self.design},{self.seed},"
+        return "".join([",".join(CSV_COLUMNS) + "\n", *(
+            f"{prefix}{r.ue_id},{r.outcome},{r.path},{r.latency_ms},"
+            f"{r.backhaul_msgs},{r.backhaul_bytes}\n" for r in self.rows)])
 
     def success_rate(self, cohort: str | None = None) -> float:
         rows = [r for r in self.rows if cohort is None or r.cohort == cohort]

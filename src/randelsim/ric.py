@@ -211,12 +211,14 @@ class DosFilter:
         recent, per_id = self._recent, self._per_id
         while recent and recent[0][0] <= horizon:
             old = recent.popleft()[1]
-            per_id[old] -= 1
-            if not per_id[old]:
+            left = per_id[old] - 1
+            if left:
+                per_id[old] = left
+            else:
                 del per_id[old]
         recent.append((now, cached_id))
-        per_id[cached_id] = per_id.get(cached_id, 0) + 1
-        if per_id[cached_id] > self.retry_limit:
+        checks = per_id[cached_id] = per_id.get(cached_id, 0) + 1
+        if checks > self.retry_limit:
             self.dropped += 1
             return False
         if not known:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
@@ -34,6 +35,10 @@ MAX_JSON_INT = 2**53 - 1
 # a config whose attempt_bound() exceeds this is rejected, so every valid
 # scenario finishes; it also bounds the devices built
 MAX_ATTEMPTS = 1_000_000
+# a scenario name or cohort goes verbatim into every CSV row, and the name
+# into compare's file names, so neither may hold a separator or a path part
+_NAME_CHARS = re.compile(r"[A-Za-z0-9_.-]+")
+_NAME_RULE = "must be nonempty and use only A-Z, a-z, 0-9, '_', '.' and '-'"
 
 
 class ScenarioError(Exception):
@@ -95,6 +100,8 @@ class ScenarioConfig:
     xapp_delays_ms: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not _NAME_CHARS.fullmatch(self.name):
+            raise ScenarioError("name", _NAME_RULE)
         if self.design not in DESIGNS:
             raise ScenarioError("design", f"must be one of {DESIGNS}")
         if not self.serving_network:
@@ -115,6 +122,8 @@ class ScenarioConfig:
         cohorts = set()
         for i, spec in enumerate(self.ues):
             where = f"ues[{i}]"
+            if not _NAME_CHARS.fullmatch(spec.cohort):
+                raise ScenarioError(f"{where}.cohort", _NAME_RULE)
             if spec.cohort in cohorts:
                 raise ScenarioError(f"{where}.cohort",
                                     f"duplicate cohort {spec.cohort!r}")

@@ -160,6 +160,7 @@ class Simulation:
         self._deferred_inflight: set[str] = set()
 
         self.ric = self._build_ric()
+        self._ric_routes = "routing" in self.ric.xapps
         # the xApp delays each routed path charges; 0 for an xApp not deployed
         delay = {name: x.processing_delay for name, x in self.ric.xapps.items()}
         routing = delay.get("routing", 0)
@@ -292,23 +293,30 @@ class Simulation:
     def _schedule_arrivals(self) -> None:
         """Plan every arrival in a reserved slot; queue only the first.
 
-        Each arrival queues the next one when it fires. The next one sorts
-        after it, so the queue pops arrivals in the order it would if all
-        of them were queued up front, while holding one at a time.
+        Slots are reserved as one block per cohort, or per sensor device
+        (one slot per period), and numbered in cohort, device and period
+        order. Each arrival queues the next one when it fires. The next one
+        sorts after it, so the queue pops arrivals in the order it would if
+        all of them were queued up front, while holding one at a time.
         """
         reserve = self.kernel.reserve
         plan = self._arrivals
+        horizon = self.cfg.horizon_ms
         for spec in self.cfg.ues:
             rng = self.kernel.stream(f"arrival/{spec.cohort}")
-            times = cohort_arrival_times(spec.arrival, spec.count,
-                                         self.cfg.horizon_ms, rng)
-            for device, t0 in zip(self.cohorts[spec.cohort], times):
-                if spec.behavior == "periodic-sensor":
-                    for t in sensor_attempt_times(t0, spec.period_ms,
-                                                  self.cfg.horizon_ms):
-                        plan.append((t, reserve(), device))
-                else:
-                    plan.append((t0, reserve(), device))
+            times = cohort_arrival_times(spec.arrival, spec.count, horizon,
+                                         rng)
+            devices = self.cohorts[spec.cohort]
+            if spec.behavior == "periodic-sensor":
+                for device, t0 in zip(devices, times):
+                    periods = sensor_attempt_times(t0, spec.period_ms, horizon)
+                    first = reserve(len(periods))
+                    plan.extend((t, first + i, device)
+                                for i, t in enumerate(periods))
+            else:
+                first = reserve(len(times))
+                plan.extend(zip(times, range(first, first + len(times)),
+                                devices))
         # slots are unique, so two devices are never compared
         plan.sort(reverse=True)
         self._queue_next_arrival()
@@ -328,9 +336,8 @@ class Simulation:
     def _start_attempt(self, device: UeDevice, request_type: str) -> None:
         now = self.kernel.now
         # reserved now, the timeout keeps its place among same-time events
-        att = Attempt(device=device, request_type=request_type, start=now,
-                      deadline=now + self.cfg.request_timeout_ms,
-                      timeout_seq=self.kernel.reserve())
+        att = Attempt(device, request_type, now,
+                      now + self.cfg.request_timeout_ms, self.kernel.reserve())
         self._open[att.timeout_seq] = att
         # one radio hop carries the request from the device to the RAN
         self.kernel.schedule(self.cfg.radio_latency_ms,
@@ -352,15 +359,13 @@ class Simulation:
         path is chosen."""
         device = att.device
         # a deferred auth settles through the core
-        if att.request_type == "deferred" or "routing" not in self.ric.xapps:
+        if att.request_type == "deferred" or not self._ric_routes:
             path, reason, entry = "standard", "forced", None
         else:
+            sn = self.cfg.serving_network
             request = RegistrationRequest(
-                cached_id=device.identity.cached_id,
-                home_network=(device.profile.home_network
-                              or self.cfg.serving_network),
-                serving_network=self.cfg.serving_network,
-                express_eligible=device.profile.express_eligible)
+                device.identity.cached_id, device.profile.home_network or sn,
+                sn, device.profile.express_eligible)
             decide = (self.ric.choose_path if screened
                       else self.ric.route_registration)
             path, reason, entry = decide(request, self.kernel.now)
@@ -382,11 +387,8 @@ class Simulation:
         device = att.device
         now = self.kernel.now
         self.rows.append(OutcomeRow(
-            ue_id=device.ue_id, cohort=device.profile.cohort,
-            request_type=att.request_type, outcome=outcome, path=att.path,
-            latency_ms=now - att.start,
-            backhaul_msgs=att.backhaul_msgs,
-            backhaul_bytes=att.backhaul_bytes))
+            device.ue_id, device.profile.cohort, att.request_type, outcome,
+            att.path, now - att.start, att.backhaul_msgs, att.backhaul_bytes))
         if outcome == "success":
             # a probationary admission is renewed by its deferred auth
             if (att.path != "probationary"

@@ -1,8 +1,13 @@
+import copy
 import random
+import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from randelsim.backhaul import BackhaulLink, BackhaulProfile
+from randelsim.scenario import config_from_dict
+from randelsim.simulation import Simulation
 
 
 def make_link(window: int | None = None, **kwargs) -> BackhaulLink:
@@ -38,6 +43,22 @@ class TestProfileValidation:
         with pytest.raises(ValueError, match="outages"):
             BackhaulProfile(base_latency_ms=1, bandwidth_bps=1,
                             outages=[(0, 100), (50, 150)]).validate()
+
+
+class TestInOutage:
+    @given(st.lists(st.tuples(st.integers(0, 20), st.integers(1, 20)),
+                    max_size=30))
+    def test_matches_a_scan_of_every_outage(self, gaps_and_lengths):
+        outages, end = [], 0
+        for gap, length in gaps_and_lengths:
+            outages.append((end + gap, end + gap + length))
+            end += gap + length
+        # sorted and disjoint, but never validated
+        profile = BackhaulProfile(base_latency_ms=1, bandwidth_bps=1,
+                                  outages=outages)
+        for t in range(-1, end + 2):
+            assert profile.in_outage(t) == any(s <= t < e
+                                               for s, e in outages)
 
 
 class TestTransmit:
@@ -98,6 +119,19 @@ class TestUtilization:
             sent += 10_000 + t
         assert link.utilization(1000) == sent
 
+    @given(st.integers(1, 200),
+           st.lists(st.tuples(st.integers(0, 60), st.integers(1, 5000),
+                              st.booleans()), max_size=60))
+    def test_is_the_bytes_sent_within_the_window(self, window, steps):
+        link, sent, now = make_link(window=window), [], 0
+        for step, size, send in steps:
+            now += step
+            if send:
+                link.transmit(size, now)
+                sent.append((now, size))
+            assert link.utilization(now) == sum(
+                n for t, n in sent if now - window <= t <= now)
+
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError):
             make_link(window=0)
@@ -120,3 +154,60 @@ class TestUtilization:
         # the sends of the last window, and nothing older
         assert [sent for sent, _ in link._send_log] == [
             t for t in range(0, 1000, 7) if t >= 994 - 100]
+
+
+def best_of_3_each(*configs) -> list[float]:
+    """The shortest of three runs of each config, the runs interleaved."""
+    best = [float("inf")] * len(configs)
+    for _ in range(3):
+        for i, cfg in enumerate(configs):
+            start = time.perf_counter()
+            Simulation(cfg).run()
+            best[i] = min(best[i], time.perf_counter() - start)
+    return best
+
+
+class TestCostPerOperation:
+    """A large outage list or utilization window costs about what the
+    small one does (a 3x margin for a noisy host)."""
+
+    def test_outages_past_the_horizon_add_no_cost(self, workloads):
+        doc = workloads.design_sweep(1)
+        large = copy.deepcopy(doc)
+        far = 10 * doc["horizon_ms"]
+        large["backhaul"]["outages"] += [[far + 2 * i, far + 2 * i + 1]
+                                         for i in range(10_000)]
+        small_cfg, large_cfg = config_from_dict(doc), config_from_dict(large)
+        assert (Simulation(small_cfg).run().to_csv()
+                == Simulation(large_cfg).run().to_csv())
+        small_s, large_s = best_of_3_each(small_cfg, large_cfg)
+        assert large_s < 3 * small_s
+
+    def test_a_query_after_many_outages_costs_their_log(self):
+        # t lies after every outage: a bisect reads about 14 starts of
+        # 10,000 where it reads 7 of 100, a scan of them reads 100x more
+        def profile(count):
+            return BackhaulProfile(base_latency_ms=1, bandwidth_bps=1,
+                                   outages=[(2 * i, 2 * i + 1)
+                                            for i in range(count)])
+
+        profiles = [profile(100), profile(10_000)]
+        best = [float("inf")] * 2
+        for _ in range(5):
+            for i, p in enumerate(profiles):
+                start = time.perf_counter()
+                for _ in range(2000):
+                    p.in_outage(30_000)
+                best[i] = min(best[i], time.perf_counter() - start)
+        small_s, large_s = best
+        assert large_s < 3 * small_s
+
+    def test_a_long_utilization_window_adds_no_cost(self, workloads):
+        def config(window_ms):
+            doc = workloads.design_sweep(1)
+            doc["thresholds"] = {"probe_interval_ms": 10,
+                                 "utilization_window_ms": window_ms}
+            return config_from_dict(doc)
+
+        short_s, long_s = best_of_3_each(config(1000), config(60_000))
+        assert long_s < 3 * short_s

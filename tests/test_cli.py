@@ -146,6 +146,25 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert path in proc.stderr
 
+    @pytest.mark.parametrize("path", ["name", "ues[0].cohort"])
+    @pytest.mark.parametrize("value", [
+        "x,y", 'x"y', "c,1\nz", "sub/x", "../escaped", "..\\escaped", "",
+    ], ids=["comma", "quote", "newline", "slash", "dotdot", "backslash",
+            "empty"])
+    def test_name_that_breaks_the_csv_or_a_path_is_2(self, tmp_path, capsys,
+                                                    path, value):
+        doc = json.loads(small_scenario(tmp_path).read_text())
+        set_path(doc, path, value)
+        scenario = tmp_path / "bad.json"
+        scenario.write_text(json.dumps(doc))
+        out = tmp_path / "runs" / "out"
+        assert main(["compare", "--scenario", str(scenario),
+                     "--out", str(out)]) == 2
+        assert f"validation error: {path}: must be nonempty" in \
+            capsys.readouterr().err
+        # nothing was run or written, inside --out or outside it
+        assert not (tmp_path / "runs").exists()
+
     def test_endless_reauthentication_is_2_within_a_second(self, tmp_path,
                                                            capsys):
         # about 1.8M re-authentications fit in zta's 60 s horizon

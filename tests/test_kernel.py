@@ -77,6 +77,16 @@ def test_reserve_takes_the_next_sequence_number():
     assert k.schedule(0, lambda: None) == 3
 
 
+def test_reserve_takes_a_block_of_consecutive_numbers():
+    k = Kernel(seed=1)
+    k.schedule(0, lambda: None)
+    s = k.reserve(3)
+    assert s == 2
+    assert k.reserve() == s + 3
+    # an empty block takes no number
+    assert k.reserve(0) == s + 4 == k.schedule(0, lambda: None)
+
+
 def test_schedule_at_before_now_rejected():
     k = Kernel(seed=1)
     k.run_until(100)

@@ -17,7 +17,8 @@ from randelsim.simulation import (BACKHAUL_MSGS_FULL_REG, BACKHAUL_MSGS_REAUTH,
                                   HOME_MSGS_REFERRAL, RADIO_HOPS_FULL_REG,
                                   RADIO_HOPS_REAUTH, Attempt, Population,
                                   Simulation)
-from randelsim.ue import UeCohortSpec, UeDevice
+from randelsim.ue import (UeCohortSpec, UeDevice, cohort_arrival_times,
+                          sensor_attempt_times)
 
 # Shared link parameters for the arithmetic oracles below: 512 B at 1 MB/s
 # serializes in 1 ms, so each backhaul crossing costs 50 + 1 = 51 ms.
@@ -769,6 +770,32 @@ class TestScale:
                 for p, t in enumerate(periods):
                     planned.append((t, c, d, p, f"{cohort}-{d + 1:04d}"))
         assert starts == [(t, ue_id) for t, *_, ue_id in sorted(planned)]
+
+    @pytest.mark.parametrize("design", DESIGNS)
+    @pytest.mark.parametrize("preset", preset_names())
+    def test_block_reserved_slots_are_the_per_arrival_slots(self, preset,
+                                                             design):
+        cfg = load_preset(preset).with_overrides(design=design, seed=1)
+        sim, reference = Simulation(cfg), Simulation(cfg)
+        sim._schedule_arrivals()
+        # the reference loop: one reserve() per arrival, in cohort, device
+        # and period order
+        plan = []
+        for spec in cfg.ues:
+            rng = reference.kernel.stream(f"arrival/{spec.cohort}")
+            times = cohort_arrival_times(spec.arrival, spec.count,
+                                         cfg.horizon_ms, rng)
+            for device, t0 in zip(reference.cohorts[spec.cohort], times):
+                if spec.behavior == "periodic-sensor":
+                    for t in sensor_attempt_times(t0, spec.period_ms,
+                                                  cfg.horizon_ms):
+                        plan.append((t, reference.kernel.reserve(), device))
+                else:
+                    plan.append((t0, reference.kernel.reserve(), device))
+        plan.sort(reverse=True)
+        assert [(t, seq, d.ue_id) for t, seq, d in sim._arrivals] == [
+            (t, seq, d.ue_id) for t, seq, d in plan]
+        assert sim.kernel.reserve() == reference.kernel.reserve()
 
     def test_per_device_records_have_no_instance_dict(self):
         sim = Simulation(make_config())
