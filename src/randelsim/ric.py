@@ -43,17 +43,6 @@ class InvalidBudget(Exception):
     pass
 
 
-class RoutingDecision:
-    """The paths routing chooses from: the values of the CSV ``path`` column.
-    A ``REJECT`` attempt is refused where it is routed."""
-
-    STANDARD = "standard"
-    EXPRESS = "express"
-    DELEGATED = "delegated"
-    PROBATIONARY = "probationary"
-    REJECT = "reject"
-
-
 @dataclass
 class DecisionCacheEntry:
     """Cached core decision for one device; anchor key only, never the root."""
@@ -232,14 +221,6 @@ class DosFilter:
         return True
 
 
-@dataclass(slots=True)
-class RegistrationRequest:
-    cached_id: bytes
-    home_network: str
-    serving_network: str
-    express_eligible: bool
-
-
 class Ric:
     """RIC dispatcher: deployed xApps, one cache, filter, routing, audit log."""
 
@@ -261,47 +242,46 @@ class Ric:
     # -- routing -----------------------------------------------------------
 
     def route_registration(
-            self, request: RegistrationRequest, now: int
-    ) -> tuple[str, str, DecisionCacheEntry | None]:
-        """Total decision procedure: (decision, reason tag, cache entry).
+            self, cached_id: bytes, express_eligible: bool, roaming: bool,
+            now: int) -> tuple[str, str, DecisionCacheEntry | None]:
+        """Total decision procedure: (path, reason tag, cache entry).
 
-        Screens the request by the blacklist and the DoS filter, then
-        ``choose_path``. The entry is the live cache entry an EXPRESS or
-        DELEGATED decision was made on, and None for every other decision.
+        The path is the CSV ``path`` value: standard, express, delegated,
+        probationary, or reject (refused where it is routed). ``roaming``:
+        the home network is set and not the serving one. Screens by the
+        blacklist and the DoS filter, then ``choose_path``. The entry is the
+        live cache entry of an express or delegated path, else None.
         """
-        cid = request.cached_id
-        if cid in self.blacklist:
-            return RoutingDecision.REJECT, "blacklisted", None
-        if self.dos_filter is not None:
-            if not self.dos_filter.check(cid, cid in self.known_ids, now):
-                return RoutingDecision.REJECT, "filtered", None
-        return self.choose_path(request, now)
+        if cached_id in self.blacklist:
+            return "reject", "blacklisted", None
+        if self.dos_filter is not None and not self.dos_filter.check(
+                cached_id, cached_id in self.known_ids, now):
+            return "reject", "filtered", None
+        return self.choose_path(cached_id, express_eligible, roaming, now)
 
     def choose_path(
-            self, request: RegistrationRequest, now: int
-    ) -> tuple[str, str, DecisionCacheEntry | None]:
-        """The path of a screened request. The cache is looked up at most
-        once, and only where an EXPRESS or DELEGATED decision could follow.
-        Link health is the assessor's last probe."""
-        cid = request.cached_id
-        eligible = request.express_eligible
-        entry = self.cache.lookup(cid, now) if eligible else None
+            self, cached_id: bytes, express_eligible: bool, roaming: bool,
+            now: int) -> tuple[str, str, DecisionCacheEntry | None]:
+        """The path of a screened id, as ``route_registration`` returns it.
+        The cache is looked up at most once, and only where an express or
+        delegated path could follow. Link health is the assessor's last
+        probe."""
+        entry = self.cache.lookup(cached_id, now) if express_eligible else None
         if entry is not None:
-            return RoutingDecision.EXPRESS, "decision-cache-hit", entry
+            return "express", "decision-cache-hit", entry
         health = self.assessor.last
         threshold = (self.bandwidth_free_fraction
                      * self.assessor.link.profile.bandwidth_bps)
         if health.reachable and health.available_bandwidth >= threshold:
-            return RoutingDecision.STANDARD, "backhaul-healthy", None
-        if not eligible and "state-auth" in self.xapps:
-            entry = self.cache.lookup(cid, now)
+            return "standard", "backhaul-healthy", None
+        if not express_eligible and "state-auth" in self.xapps:
+            entry = self.cache.lookup(cached_id, now)
         if isinstance(entry, StateCacheEntry):
-            return RoutingDecision.DELEGATED, "state-cache-hit", entry
-        unknown_roamer = (cid not in self.known_ids
-                          and request.home_network != request.serving_network)
-        if "probationary" in self.xapps and unknown_roamer:
-            return RoutingDecision.PROBATIONARY, "unknown-roamer", None
-        return RoutingDecision.REJECT, "no-path", None
+            return "delegated", "state-cache-hit", entry
+        if ("probationary" in self.xapps and roaming
+                and cached_id not in self.known_ids):
+            return "probationary", "unknown-roamer", None
+        return "reject", "no-path", None
 
     # -- express challenge -------------------------------------------------
 

@@ -171,12 +171,15 @@ class ScenarioConfig:
             elif spec.behavior in ("interactive", "roamer"):
                 terms["reauth_interval_ms"] += spec.count * (
                     horizon // self.reauth_interval_ms)
-            if probation and spec.home_network not in (None,
-                                                       self.serving_network):
+            if probation and self.roams(spec):
                 terms["thresholds.probe_interval_ms"] += spec.count * polls
         if "backhaul-assessor" in xapps:
             terms["thresholds.probe_interval_ms"] += polls + 1
         return terms
+
+    def roams(self, spec: UeCohortSpec) -> bool:
+        """Whether the cohort's home network is set and not the serving one."""
+        return spec.home_network not in (None, self.serving_network)
 
     def deployed_xapps(self) -> tuple[str, ...]:
         """The xApps a run deploys: its design's, less those turned off."""

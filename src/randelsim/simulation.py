@@ -39,9 +39,8 @@ from .crypto import (MacFailure, RootSecret, SequenceState, SyncFailure,
                      UeIdentity, UsimState)
 from .kernel import Kernel, seeded_stream
 from .metrics import MetricsReport, OutcomeRow
-from .ric import (DEFAULT_XAPP_DELAYS, BackhaulAssessor,
-                  DecisionCacheEntry, DosFilter, RegistrationRequest, Ric,
-                  StateCacheEntry, TtlCache, XAppDescriptor)
+from .ric import (DEFAULT_XAPP_DELAYS, BackhaulAssessor, DecisionCacheEntry,
+                  DosFilter, Ric, StateCacheEntry, TtlCache, XAppDescriptor)
 from .scenario import ScenarioConfig
 from .ue import (UeCohortSpec, UeDevice, cohort_arrival_times,
                  sensor_attempt_times)
@@ -150,6 +149,8 @@ class Simulation:
         self.home_cores: dict[str, CoreNetwork] = {}
         # each cohort's devices, in the order of its identities
         self.cohorts: dict[str, list[UeDevice]] = {}
+        self._roaming = {spec.cohort for spec in config.ues
+                         if config.roams(spec)}
         # arrivals not yet fired as (time, slot, device), latest first; only
         # the last one is in the kernel queue
         self._arrivals: list[tuple[int, int, UeDevice]] = []
@@ -205,12 +206,13 @@ class Simulation:
         for spec in self.cfg.ues:
             identities, home_keys, device_keys = \
                 population.cohorts[spec.cohort]
-            home = spec.home_network or sn
+            roaming = spec.cohort in self._roaming
+            home = spec.home_network if roaming else sn
             if home_keys is not None:
                 policy = SubscriptionPolicy(
                     allowed_slices=frozenset(spec.allowed_slices),
                     authorized_services=frozenset(spec.authorized_services))
-                core = self.serving if home == sn else self._home_core(home)
+                core = self._home_core(home) if roaming else self.serving
             members = self.cohorts[spec.cohort] = []
             for i, identity in enumerate(identities):
                 usim = None
@@ -236,6 +238,8 @@ class Simulation:
                 rand = k.prf("PREWARM", sn.encode())
                 k_ausf = crypto.derive_k_ausf(k, sn, rand[:16])
                 k_seaf = device.learn_hierarchy(k_ausf, sn).k_seaf
+                if device.profile.corrupt_key:  # its USIM holds another K
+                    device.derive_hierarchy_from_challenge(rand[:16], sn)
                 self._store_cache_entries(device, record, k_seaf, 0,
                                           ttl=pw.ttl_ms)
 
@@ -362,13 +366,12 @@ class Simulation:
         if att.request_type == "deferred" or not self._ric_routes:
             path, reason, entry = "standard", "forced", None
         else:
-            sn = self.cfg.serving_network
-            request = RegistrationRequest(
-                device.identity.cached_id, device.profile.home_network or sn,
-                sn, device.profile.express_eligible)
+            profile = device.profile
             decide = (self.ric.choose_path if screened
                       else self.ric.route_registration)
-            path, reason, entry = decide(request, self.kernel.now)
+            path, reason, entry = decide(
+                device.identity.cached_id, profile.express_eligible,
+                profile.cohort in self._roaming, self.kernel.now)
         att.path = path
         if path == "reject":
             return ("filtered" if reason in ("filtered", "blacklisted")

@@ -228,18 +228,21 @@ def test_08_probationary_lifecycle():
         assert sim.ric.cache.contains(cid)
 
 
+# criterion 9's scenario: a healthy link, so every design routes standard
+TRANSPARENCY_DOC = {
+    "name": "transparent",
+    "seed": 21,
+    "horizon_ms": 30_000,
+    "design": "baseline",
+    "backhaul": {"base_latency_ms": 20, "bandwidth_bps": 10_000_000},
+    "ues": [{"cohort": "c", "count": 20, "behavior": "interactive",
+             "arrival": {"kind": "poisson", "time_ms": 0, "rate_per_s": 5}}],
+}
+
+
 def test_09_transparency():
     with criterion(9, "transparency"):
-        doc = {
-            "name": "transparent",
-            "seed": 21,
-            "horizon_ms": 30_000,
-            "design": "baseline",
-            "backhaul": {"base_latency_ms": 20, "bandwidth_bps": 10_000_000},
-            "ues": [{"cohort": "c", "count": 20, "behavior": "interactive",
-                     "arrival": {"kind": "poisson", "time_ms": 0,
-                                 "rate_per_s": 5}}],
-        }
+        doc = dict(TRANSPARENCY_DOC)
         base = Simulation(config_from_dict(doc)).run()
         doc["design"] = "logic-replication"
         repl = Simulation(config_from_dict(doc)).run()
@@ -294,8 +297,8 @@ def test_13_security_audit(disaster_comparison):
         assert reports["colocated"].audit_flags == ["root-secret-at-edge"]
         for design in ("decision-cache", "logic-replication"):
             assert set(reports[design].audit_flags) <= {"k-seaf-at-edge"}
-        from randelsim.ric import (BackhaulHealth, RegistrationRequest,
-                                   StateCacheEntry, audit_type_for_root_secret)
+        from randelsim.ric import (BackhaulHealth, StateCacheEntry,
+                                   audit_type_for_root_secret)
         for tp in (DecisionCacheEntry, StateCacheEntry, BackhaulHealth,
-                   XAppDescriptor, RegistrationRequest):
+                   XAppDescriptor):
             assert audit_type_for_root_secret(tp) == []

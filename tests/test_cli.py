@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from randelsim.cli import main
 from randelsim.harness import COMPARE_COLUMNS, compare_designs
 from randelsim.metrics import CSV_COLUMNS
 from randelsim.scenario import DESIGNS, load_preset, preset_path
+from test_acceptance import TRANSPARENCY_DOC
 from test_scenario import set_path
 
 
@@ -193,6 +195,37 @@ class TestExitCodes:
         assert main(["presets", "list"]) == 0
         assert capsys.readouterr().out.split() == ["disaster", "flash_crowd",
                                                    "ntn", "zta"]
+
+
+class TestXappDelays:
+    """A scenario document's ``xapp_delays_ms``, through ``randelsim run``."""
+
+    @pytest.mark.parametrize("delay", [5, 1001])
+    def test_delay_outside_the_budget_is_2_and_named(self, tmp_path, capsys,
+                                                     delay):
+        scenario = small_scenario(tmp_path, xapp_delays_ms={"routing": delay})
+        out = tmp_path / "x.csv"
+        assert main(["run", "--scenario", str(scenario),
+                     "--out", str(out)]) == 2
+        assert ("validation error: xapp_delays_ms.routing: processing_delay "
+                f"{delay} outside [10, 1000] ms") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_routing_delay_is_criterion_9s_latency_delta(self, tmp_path):
+        doc = dict(TRANSPARENCY_DOC, xapp_delays_ms={"routing": 30})
+        scenario = tmp_path / "transparent.json"
+        scenario.write_text(json.dumps(doc))
+        rows = {}
+        for design in ("baseline", "logic-replication"):
+            out = tmp_path / f"{design}.csv"
+            assert main(["run", "--scenario", str(scenario), "--design",
+                         design, "--out", str(out)]) == 0
+            rows[design] = list(csv.DictReader(out.open()))
+        base, repl = rows["baseline"], rows["logic-replication"]
+        assert [(r["ue_id"], r["path"]) for r in base] == [
+            (r["ue_id"], r["path"]) for r in repl]
+        assert {int(b["latency_ms"]) - int(a["latency_ms"])
+                for a, b in zip(base, repl)} == {30}
 
 
 class TestHarness:

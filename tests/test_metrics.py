@@ -9,7 +9,6 @@ from randelsim.crypto import UeIdentity
 from randelsim.harness import compare_designs
 from randelsim.metrics import (CSV_COLUMNS, MetricsReport, OutcomeRow,
                                aggregate, percentile)
-from randelsim.ric import RegistrationRequest
 from randelsim.scenario import DESIGNS, load_preset, preset_names
 from randelsim.simulation import Attempt
 
@@ -21,10 +20,8 @@ from randelsim.simulation import Attempt
                "path", "backhaul_msgs", "backhaul_bytes")),
     (OutcomeRow, ("ue_id", "cohort", "request_type", "outcome", "path",
                   "latency_ms", "backhaul_msgs", "backhaul_bytes")),
-    (RegistrationRequest, ("cached_id", "home_network", "serving_network",
-                           "express_eligible")),
     (UeIdentity, ("supi", "suci", "cached_id")),
-], ids=["Attempt", "OutcomeRow", "RegistrationRequest", "UeIdentity"])
+], ids=["Attempt", "OutcomeRow", "UeIdentity"])
 def test_positionally_built_record_keeps_its_field_order(record, names):
     assert tuple(f.name for f in dataclasses.fields(record)) == names
 

@@ -9,8 +9,7 @@ from randelsim.backhaul import BackhaulLink, BackhaulProfile
 from randelsim.core import SubscriptionPolicy
 from randelsim.harness import compare_designs
 from randelsim.ric import (BackhaulAssessor, DecisionCacheEntry, DosFilter,
-                           InvalidBudget, RegistrationRequest, Ric,
-                           RoutingDecision, StateCacheEntry, TtlCache,
+                           InvalidBudget, Ric, StateCacheEntry, TtlCache,
                            XAppDescriptor, audit_type_for_root_secret)
 from randelsim.scenario import load_preset, preset_names
 
@@ -211,77 +210,75 @@ def make_ric(outage=False, dos=False, probationary=True) -> Ric:
                dos_filter=DosFilter(1000, 50, 3) if dos else None)
 
 
-def make_request(cached_id=b"\x01" * 32, express=False,
-                 home="net-serving") -> RegistrationRequest:
-    return RegistrationRequest(cached_id=cached_id, home_network=home,
-                               serving_network="net-serving",
-                               express_eligible=express)
+def make_request(cached_id=b"\x01" * 32, express=False, roaming=False):
+    """The device facts routing reads: id, express eligibility, roaming."""
+    return cached_id, express, roaming
 
 
 class TestRouteRegistration:
     def test_express_wins_even_with_backhaul_down(self):
         ric = make_ric(outage=True)
         ric.cache.store(make_entry())
-        decision, _, _ = ric.route_registration(make_request(express=True), now=10)
-        assert decision is RoutingDecision.EXPRESS
+        decision, _, _ = ric.route_registration(*make_request(express=True),
+                                                now=10)
+        assert decision == "express"
 
     def test_unknown_device_healthy_backhaul_standard(self):
         ric = make_ric()
-        decision, _, _ = ric.route_registration(make_request(), now=10)
-        assert decision is RoutingDecision.STANDARD
+        decision, _, _ = ric.route_registration(*make_request(), now=10)
+        assert decision == "standard"
 
     def test_state_cache_during_outage_delegated(self):
         ric = make_ric(outage=True)
         ric.cache.store(make_entry(state=True))
-        decision, _, _ = ric.route_registration(make_request(), now=10)
-        assert decision is RoutingDecision.DELEGATED
+        decision, _, _ = ric.route_registration(*make_request(), now=10)
+        assert decision == "delegated"
 
     def test_one_state_entry_serves_express_and_delegated(self):
         ric = make_ric(outage=True)
         ric.cache.store(make_entry(state=True))
-        express = ric.route_registration(make_request(express=True), now=10)
-        delegated = ric.route_registration(make_request(), now=20)
-        assert express[0] is RoutingDecision.EXPRESS
-        assert delegated[0] is RoutingDecision.DELEGATED
+        express = ric.route_registration(*make_request(express=True),
+                                         now=10)
+        delegated = ric.route_registration(*make_request(), now=20)
+        assert express[0] == "express"
+        assert delegated[0] == "delegated"
         assert express[2] is delegated[2]
 
     def test_decision_entry_is_not_delegated(self):
         ric = make_ric(outage=True, probationary=False)
         ric.cache.store(make_entry())
-        decision, reason, _ = ric.route_registration(make_request(), now=10)
-        assert (decision, reason) == (RoutingDecision.REJECT, "no-path")
+        decision, reason, _ = ric.route_registration(*make_request(), now=10)
+        assert (decision, reason) == ("reject", "no-path")
 
     def test_unknown_roamer_during_outage_probationary(self):
         ric = make_ric(outage=True)
-        decision, _, _ = ric.route_registration(make_request(home="net-far"),
+        decision, _, _ = ric.route_registration(*make_request(roaming=True),
                                                 now=10)
-        assert decision is RoutingDecision.PROBATIONARY
+        assert decision == "probationary"
 
     def test_no_path_rejects(self):
         ric = make_ric(outage=True, probationary=False)
-        decision, reason, _ = ric.route_registration(make_request(), now=10)
-        assert decision is RoutingDecision.REJECT
+        decision, reason, _ = ric.route_registration(*make_request(), now=10)
+        assert decision == "reject"
         assert reason == "no-path"
 
     def test_filter_drop_precedes_everything(self):
         ric = make_ric(dos=True)
         ric.dos_filter.unknown_limit = 0
-        decision, reason, _ = ric.route_registration(make_request(), now=10)
-        assert (decision, reason) == (RoutingDecision.REJECT, "filtered")
+        decision, reason, _ = ric.route_registration(*make_request(), now=10)
+        assert (decision, reason) == ("reject", "filtered")
 
     @given(st.binary(min_size=32, max_size=32), st.booleans(),
-           st.sampled_from(["net-serving", "net-far"]),
-           st.booleans(), st.booleans())
-    def test_total_over_randomized_requests(self, cid, express, home,
+           st.booleans(), st.booleans(), st.booleans())
+    def test_total_over_randomized_requests(self, cid, express, roaming,
                                             outage, with_state):
         ric = make_ric(outage=outage)
         ric.cache.store(make_entry(cached_id=cid, state=with_state))
-        request = make_request(cached_id=cid, express=express, home=home)
-        decision, reason, entry = ric.route_registration(request, now=5)
+        request = make_request(cached_id=cid, express=express, roaming=roaming)
+        decision, reason, entry = ric.route_registration(*request, now=5)
         assert decision in PATHS
         assert isinstance(reason, str)
-        assert (entry is not None) == (decision in (RoutingDecision.EXPRESS,
-                                                    RoutingDecision.DELEGATED))
+        assert (entry is not None) == (decision in ("express", "delegated"))
 
     @pytest.mark.parametrize("preset", preset_names())
     def test_every_preset_row_takes_a_path(self, preset):
@@ -307,10 +304,9 @@ class TestStructuralAudit:
         from randelsim.core import SubscriberRecord
         from randelsim.crypto import HmacKey
         from randelsim.ric import (BackhaulHealth, DecisionCacheEntry,
-                                   RegistrationRequest, StateCacheEntry,
-                                   XAppDescriptor)
+                                   StateCacheEntry, XAppDescriptor)
         for tp in (DecisionCacheEntry, StateCacheEntry, BackhaulHealth,
-                   XAppDescriptor, RegistrationRequest):
+                   XAppDescriptor):
             assert audit_type_for_root_secret(tp, target=HmacKey) == []
         assert audit_type_for_root_secret(SubscriberRecord, target=HmacKey) \
             == ["root_secret.hmac_key"]
@@ -318,11 +314,10 @@ class TestStructuralAudit:
     def test_no_ran_side_type_reaches_a_population(self):
         # a population holds every subscriber's K
         from randelsim.ric import (BackhaulHealth, DecisionCacheEntry,
-                                   RegistrationRequest, StateCacheEntry,
-                                   XAppDescriptor)
+                                   StateCacheEntry, XAppDescriptor)
         from randelsim.simulation import Population
         for tp in (DecisionCacheEntry, StateCacheEntry, BackhaulHealth,
-                   XAppDescriptor, RegistrationRequest):
+                   XAppDescriptor):
             assert audit_type_for_root_secret(tp, target=Population) == []
 
 

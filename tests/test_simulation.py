@@ -606,9 +606,9 @@ class TestLinkHealth:
             probed[assessor] = now
             return assess(assessor, now)
 
-        def checked_route(ric, request, now):
+        def checked_route(ric, cached_id, express_eligible, roaming, now):
             ages["route"].append(now - probed[ric.assessor])
-            return route(ric, request, now)
+            return route(ric, cached_id, express_eligible, roaming, now)
 
         def checked_poll(sim, device):
             ages["poll"].append(sim.kernel.now - probed[sim.ric.assessor])
@@ -873,6 +873,73 @@ class TestCredentials:
             outcomes.setdefault(row.cohort, []).append(row.outcome)
         assert outcomes["corrupt"] == ["mac-failure"] * 4
         assert outcomes["attackers"] == ["subscriber-not-found"] * 5
+
+    @staticmethod
+    def prewarm_config(design, prewarm=True, outage=False, **cohort):
+        """Three devices arriving at 100 ms, prewarmed or not."""
+        return make_config(
+            design=design, horizon=10_000,
+            backhaul={"outages": [[0, 5000]] if outage else []},
+            cohorts=[one_ue(count=3, arrival={"kind": "fixed", "time_ms": 100},
+                            **cohort)],
+            prewarm=[{"cohort": "solo"}] if prewarm else [])
+
+    @pytest.mark.parametrize("design, prewarm, outage, expected", [
+        # 1 radio in, routing 10 + decision-cache 15, 2 radio of the challenge
+        ("decision-cache", True, False, ("rejected", "express", 31, 0)),
+        # routing 10 + state-auth 20 + session-establish 20, same 3 radio
+        ("logic-replication", True, True, ("rejected", "delegated", 56, 0)),
+        # not prewarmed: the core's challenge fails on the device's MAC check
+        ("decision-cache", False, False, ("mac-failure", "standard", None, 3)),
+    ], ids=["express", "delegated", "no-prewarm"])
+    def test_prewarmed_corrupt_key_fails_the_local_challenge(
+            self, design, prewarm, outage, expected):
+        cfg = self.prewarm_config(design, prewarm, outage, corrupt_key=True,
+                                  express_eligible=design == "decision-cache")
+        sim = Simulation(cfg)
+        devices = sim.cohorts["solo"]
+        if prewarm:
+            # the cache keeps the home K's anchor, the device its own
+            for device in devices:
+                entry = sim.ric.cache.lookup(device.identity.cached_id, 0)
+                assert device.hierarchy.k_seaf != entry.k_seaf
+        rows = sim.run().rows
+        assert len(rows) == 3
+        for row in rows:
+            assert (row.outcome, row.path, row.backhaul_msgs) == (
+                expected[0], expected[1], expected[3])
+            # three devices share the link, so a standard latency varies
+            assert expected[2] in (None, row.latency_ms)
+        assert all(device.session_slice is None for device in devices)
+
+
+class TestResCheck:
+    """The network rejects a RES that does not match its XRES. No scenario
+    makes a device answer a valid challenge wrongly, so the device's answer
+    is replaced."""
+
+    @pytest.mark.parametrize("design, latency", [
+        # 4 radio hops at 2 ms, 4 crossings at 51 ms, 4 core hops at 1 ms
+        ("baseline", 4 * 2 + 4 * 51 + 4 * 1),
+        ("decision-cache", 10 + 4 * 2 + 4 * 51 + 4 * 1),
+    ])
+    def test_wrong_res_is_rejected(self, monkeypatch, design, latency):
+        respond = UeDevice.respond_to_challenge
+
+        def wrong_res(device, rand, autn):
+            res = respond(device, rand, autn)
+            return bytes([res[0] ^ 1]) + res[1:]
+
+        monkeypatch.setattr(UeDevice, "respond_to_challenge", wrong_res)
+        sim = Simulation(make_config(design=design))
+        (row,) = sim.run().rows
+        assert (row.outcome, row.path, row.latency_ms,
+                row.backhaul_msgs) == ("mac-failure", "standard", latency, 4)
+        assert not sim.serving.seaf_hierarchies
+        assert not sim.ric.known_ids
+        assert sim.ric.cache is None or len(sim.ric.cache) == 0
+        (device,) = sim.cohorts["solo"]
+        assert device.hierarchy is None and device.session_slice is None
 
 
 class TestPopulation:
