@@ -307,13 +307,10 @@ def audit_type_for_root_secret(tp: type, _seen: set | None = None,
         return ["<self>"]
     if not dataclasses.is_dataclass(tp):
         return []
-    try:
-        hints = typing.get_type_hints(tp)
-    except Exception:
-        hints = {f.name: f.type for f in dataclasses.fields(tp)}
+    # an annotation that does not resolve raises: it cannot be audited
+    hints = typing.get_type_hints(tp)
     for f in dataclasses.fields(tp):
-        ftype = hints.get(f.name, f.type)
-        for sub in _walk_types(ftype):
+        for sub in _walk_types(hints[f.name]):
             if sub is target:
                 hits.append(f.name)
             elif dataclasses.is_dataclass(sub):

@@ -26,9 +26,14 @@ from .ric import (DEFAULT_XAPP_DELAYS, DESIGN_XAPPS, InvalidBudget,
                   XAppDescriptor)
 from .ue import UeCohortSpec
 
-DESIGNS = ("baseline", "colocated", "decision-cache", "logic-replication")
+DESIGNS = tuple(DESIGN_XAPPS)
 
 DEFAULT_MESSAGE_BYTES = 512
+# the messages a run carries between cores; message_bytes may size each
+MESSAGE_TYPES = ("REG_REQUEST", "REG_REJECT", "AV_REQUEST", "AV_RESPONSE",
+                 "AUTH_CHALLENGE", "AUTH_FAILURE", "AUTH_RESPONSE",
+                 "AUTH_REJECT", "AUTH_RESULT", "SESSION_REQUEST",
+                 "SESSION_REJECT", "SESSION_ACCEPT")
 DEFAULT_TTL_MS = 3_600_000  # Table-style 60:00 m
 # the largest integer JSON readers keep exact (RFC 8259, section 6)
 MAX_JSON_INT = 2**53 - 1
@@ -133,10 +138,18 @@ class ScenarioConfig:
                                    frozenset(spec.authorized_services))
             except ValueError as exc:
                 raise _field_error(where, exc, UeCohortSpec) from exc
+        unwarmed = set(cohorts)
         for i, pw in enumerate(self.prewarm):
-            if pw.cohort not in cohorts:
+            if pw.cohort not in unwarmed:
+                why = "duplicate" if pw.cohort in cohorts else "unknown"
                 raise ScenarioError(f"prewarm[{i}].cohort",
-                                    f"unknown cohort {pw.cohort!r}")
+                                    f"{why} cohort {pw.cohort!r}")
+            unwarmed.remove(pw.cohort)
+        for msg in self.message_bytes:
+            if msg != "default" and msg not in MESSAGE_TYPES:
+                raise ScenarioError(
+                    f"message_bytes.{msg}",
+                    f"unknown message; 'default' or one of {MESSAGE_TYPES}")
         for xapp, delay in self.xapp_delays_ms.items():
             where = f"xapp_delays_ms.{xapp}"
             if xapp not in DEFAULT_XAPP_DELAYS:

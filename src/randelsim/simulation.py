@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from . import crypto
 from .backhaul import BackhaulLink
-from .core import (AuthRequired, CoreNetwork, PolicyDenied, SubscriberRecord,
+from .core import (CoreNetwork, PolicyDenied, SubscriberRecord,
                    SubscriptionPolicy)
 from .crypto import (MacFailure, RootSecret, SequenceState, SyncFailure,
                      UeIdentity, UsimState)
@@ -513,7 +513,7 @@ class Simulation:
             self.serving.establish_session(
                 cid, record.subscription, device.profile.slice_id,
                 device.profile.service)
-        except (PolicyDenied, AuthRequired):
+        except PolicyDenied:
             yield self._cross(att, "SESSION_REJECT", "smf", "ran")
             yield radio
             return "policy-denied"
@@ -540,7 +540,7 @@ class Simulation:
         yield self.cfg.radio_latency_ms  # challenge to the device
         mac = device.express_response(nonce)
         yield self.cfg.radio_latency_ms  # response back
-        return mac is not None and mac == crypto.express_mac(entry.k_nas, nonce)
+        return mac == crypto.express_mac(entry.k_nas, nonce)
 
     def _express_flow(self, att: Attempt, device: UeDevice,
                       entry: DecisionCacheEntry, delay_ms: int):

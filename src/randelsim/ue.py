@@ -9,7 +9,7 @@ from . import crypto
 from .crypto import SessionKeys, UeIdentity, UsimState
 
 BEHAVIORS = ("interactive", "periodic-sensor", "roamer", "attacker-flood")
-ARRIVAL_KINDS = ("fixed", "burst", "poisson", "flood")
+ARRIVAL_KINDS = ("fixed", "poisson", "flood")
 
 
 @dataclass(frozen=True)
@@ -17,9 +17,7 @@ class ArrivalSpec:
     """When a device (or each device of a cohort) first shows up.
 
     kinds:
-      fixed   - every device arrives at time_ms
-      burst   - flash crowd: all devices at time_ms, plus optional Poisson
-                tail at tail_rate_per_s
+      fixed   - every device arrives at time_ms (a flash crowd)
       poisson - devices arrive with exponential inter-arrival gaps at
                 rate_per_s starting from time_ms
       flood   - count requests evenly spaced at rate_per_s from time_ms
@@ -28,7 +26,6 @@ class ArrivalSpec:
     kind: str
     time_ms: int = field(default=0, metadata={"min": 0})
     rate_per_s: float = field(default=0.0, metadata={"min": 0})
-    tail_rate_per_s: float = field(default=0.0, metadata={"min": 0})
 
     def __post_init__(self):
         if self.kind not in ARRIVAL_KINDS:
@@ -119,16 +116,6 @@ def cohort_arrival_times(spec: ArrivalSpec, count: int, horizon_ms: int,
     times: list[int] = []
     if spec.kind == "fixed":
         times = [spec.time_ms] * count
-    elif spec.kind == "burst":
-        times = [spec.time_ms] * count
-        if spec.tail_rate_per_s > 0:
-            t = float(spec.time_ms)
-            # tail devices replace the trailing part of the burst
-            tail = count // 4
-            times = times[: count - tail]
-            for _ in range(tail):
-                t += rng.expovariate(spec.tail_rate_per_s) * 1000
-                times.append(int(min(t, horizon_ms)))
     elif spec.kind == "poisson":
         t = float(spec.time_ms)
         for _ in range(count):

@@ -113,6 +113,7 @@ class TestExitCodes:
         ("reauth_interval_ms", -5),
         ("ues[0].arrival.time_ms", -1),
         ("message_bytes.default", -100_000),
+        ("message_bytes.REG_REQEST", 100_000),  # sizes no message
         ("ues[0].qos_class", "gold"),
         ("ues[0].allowed_slices", []),
         ("dos_fitler", True),

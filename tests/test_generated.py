@@ -127,8 +127,11 @@ def scenario_docs(draw) -> dict:
         if arrival["kind"] in ("poisson", "flood"):
             # these kinds need a rate above 0
             arrival["rate_per_s"] = max(arrival.get("rate_per_s", 0.0), 1.0)
-    for prewarm in doc.get("prewarm", ()):
-        prewarm["cohort"] = draw(st.sampled_from(names))
+    # each cohort is prewarmed at most once
+    prewarm = doc.get("prewarm", [])
+    del prewarm[len(names):]
+    for entry, name in zip(prewarm, draw(st.permutations(names))):
+        entry["cohort"] = name
     for link in (doc["backhaul"], doc.get("home_backhaul")):
         if link is not None:
             # jitter may not exceed the base latency

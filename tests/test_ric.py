@@ -1,6 +1,8 @@
+import dataclasses
 import inspect
 import random
 import tracemalloc
+import typing
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +14,10 @@ from randelsim.ric import (BackhaulAssessor, DecisionCacheEntry, DosFilter,
                            InvalidBudget, Ric, StateCacheEntry, TtlCache,
                            XAppDescriptor, audit_type_for_root_secret)
 from randelsim.scenario import load_preset, preset_names
+
+if typing.TYPE_CHECKING:
+    # imported for type checkers only: at run time the name is unbound
+    from randelsim.crypto import RootSecret
 
 HOUR_TTL = 3_600_000  # the canonical 60:00 m example
 # the values of the CSV ``path`` column
@@ -288,6 +294,14 @@ class TestRouteRegistration:
 
 
 class TestStructuralAudit:
+    def test_an_annotation_that_does_not_resolve_raises(self):
+        @dataclasses.dataclass
+        class Holder:
+            k: "RootSecret"
+
+        with pytest.raises(NameError):
+            audit_type_for_root_secret(Holder)
+
     def test_ran_side_types_cannot_hold_root_secret(self):
         from randelsim.ric import (BackhaulHealth, DecisionCacheEntry,
                                    StateCacheEntry, XAppDescriptor)

@@ -1,3 +1,4 @@
+import ast
 import copy
 import json
 import tempfile
@@ -9,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randelsim import scenario as scenario_module
+from randelsim import simulation
 from randelsim.cli import main
 from randelsim.harness import compare_designs
 from randelsim.ric import DESIGN_XAPPS
-from randelsim.scenario import (DESIGNS, MAX_JSON_INT, ScenarioError,
-                                config_from_dict, load_preset, load_scenario,
-                                preset_names, preset_path)
+from randelsim.scenario import (DESIGNS, MAX_JSON_INT, MESSAGE_TYPES,
+                                ScenarioError, config_from_dict, load_preset,
+                                load_scenario, preset_names, preset_path)
 
 
 def minimal_doc(**overrides) -> dict:
@@ -107,6 +109,10 @@ class TestConfigFromDict:
         ("ues[0].arrival.rate_per_s", "abc", "ues[0].arrival.rate_per_s"),
         ("ues[0].arrival.kind", "flood", "ues[0].arrival.rate_per_s"),
         ("ues[0].arrival.kind", "trickle", "ues[0].arrival.kind"),
+        # a burst is a fixed cohort; one with a tail is two cohorts
+        ("ues[0].arrival.kind", "burst", "ues[0].arrival.kind"),
+        ("ues[0].arrival.tail_rate_per_s", 5.0,
+         "ues[0].arrival.tail_rate_per_s"),
         ("ues[0].arrival.time_ms", -1, "ues[0].arrival.time_ms"),
         ("backhaul.bandwidth_bps", 0, "backhaul.bandwidth_bps"),
         ("backhaul.loss_probability", 1.5, "backhaul.loss_probability"),
@@ -127,6 +133,10 @@ class TestConfigFromDict:
         ("ues[0].qos_class", "best-effort", "ues[0].qos_class"),
         ("ues", [], "ues"),
         ("message_bytes.default", -1, "message_bytes.default"),
+        ("message_bytes.REG_REQEST", 100_000, "message_bytes.REG_REQEST"),
+        # a later entry for a cohort would override the earlier one
+        ("prewarm", [{"cohort": "a"}, {"cohort": "a", "ttl_ms": 1000}],
+         "prewarm[1].cohort"),
         ("xapp_delays_ms.nonexistent", 20, "xapp_delays_ms.nonexistent"),
         ("thresholds.bandwidth_free_fraction", float("nan"),
          "thresholds.bandwidth_free_fraction"),
@@ -181,6 +191,16 @@ class TestConfigFromDict:
         cfg = config_from_dict(minimal_doc(message_bytes={"AUTH_CHALLENGE": 640}))
         assert cfg.message_size("AUTH_CHALLENGE") == 640
         assert cfg.message_size("REG_REQUEST") == 512
+
+    def test_message_types_are_the_messages_a_run_carries(self):
+        # read from the source: no preset sends AUTH_FAILURE, AUTH_REJECT or
+        # SESSION_REJECT
+        tree = ast.parse(Path(simulation.__file__).read_text())
+        sent = [node.args[1].value for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "_cross"]
+        assert sorted(set(sent)) == sorted(MESSAGE_TYPES)
 
 
 class TestLoadScenario:

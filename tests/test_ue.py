@@ -40,11 +40,6 @@ class TestArrivals:
         spec = ArrivalSpec(kind="fixed", time_ms=500)
         assert cohort_arrival_times(spec, 4, 10_000, random.Random(0)) == [500] * 4
 
-    def test_burst_everyone_at_once(self):
-        spec = ArrivalSpec(kind="burst", time_ms=2000)
-        times = cohort_arrival_times(spec, 8, 10_000, random.Random(0))
-        assert times[:6] == [2000] * 6
-
     def test_poisson_nondecreasing_and_clipped(self):
         spec = ArrivalSpec(kind="poisson", time_ms=0, rate_per_s=100)
         times = cohort_arrival_times(spec, 50, 1000, random.Random(3))
@@ -59,8 +54,7 @@ class TestArrivals:
     @pytest.mark.parametrize("kind", ARRIVAL_KINDS)
     def test_tiny_rates_stay_inside_the_horizon(self, kind):
         # offsets of 1 / 5e-324 s are infinite before the horizon clips them
-        spec = ArrivalSpec(kind=kind, time_ms=100, rate_per_s=5e-324,
-                           tail_rate_per_s=5e-324)
+        spec = ArrivalSpec(kind=kind, time_ms=100, rate_per_s=5e-324)
         times = cohort_arrival_times(spec, 8, 10_000, random.Random(0))
         assert len(times) == 8
         assert all(type(t) is int and 0 <= t <= 9_999 for t in times)
