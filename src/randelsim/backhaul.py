@@ -20,7 +20,7 @@ class BackhaulProfile:
     loss_probability: float = 0.0
     outages: list[tuple[int, int]] = field(default_factory=list)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.bandwidth_bps <= 0:
             raise ValueError("bandwidth_bps must be > 0")
         if self.base_latency_ms < 0:
@@ -42,7 +42,7 @@ class BackhaulProfile:
 
     def in_outage(self, t: int) -> bool:
         """True iff ``t`` lies in an outage. Outages are sorted and disjoint,
-        as ``validate`` checks, so only the last one that starts at or
+        as ``__post_init__`` checks, so only the last one that starts at or
         before ``t`` can hold it; a bisect over the starts finds it."""
         outages = self.outages
         i = bisect_right(outages, t, key=_start)
@@ -59,7 +59,6 @@ class BackhaulLink:
 
     def __init__(self, profile: BackhaulProfile, rng: random.Random,
                  utilization_window_ms: int | None = None):
-        profile.validate()
         if utilization_window_ms is not None and utilization_window_ms <= 0:
             raise ValueError("utilization_window_ms must be > 0")
         self.profile = profile

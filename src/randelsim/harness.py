@@ -14,8 +14,9 @@ COMPARE_COLUMNS = ("design", "success_rate", "p95_latency_ms",
 
 
 def run_scenario(config: ScenarioConfig, seed: int | None = None) -> MetricsReport:
-    """Deterministic: the same (config, seed) yields a bit-identical report."""
-    return Simulation(config, seed=seed).run()
+    """Deterministic: the same (config, seed) yields a bit-identical report;
+    a ``seed`` given overrides the config's."""
+    return Simulation(config.with_overrides(seed=seed)).run()
 
 
 @dataclass
@@ -55,12 +56,12 @@ def compare_designs(config: ScenarioConfig,
     The four runs share one population: identities and root secrets are
     built once, in the first run, since no design changes them.
     """
-    seed = config.seed if seed is None else seed
+    config = config.with_overrides(seed=seed)
     # every design's config is checked before the first run starts
     configs = {design: config.with_overrides(design=design)
                for design in DESIGNS}
-    population = Population(config.ues, seed)
-    reports = {design: Simulation(cfg, seed=seed,
-                                  population=population).run()
+    population = Population(config.ues, config.seed)
+    reports = {design: Simulation(cfg, population=population).run()
                for design, cfg in configs.items()}
-    return DesignComparison(scenario=config.name, seed=seed, reports=reports)
+    return DesignComparison(scenario=config.name, seed=config.seed,
+                            reports=reports)

@@ -2,8 +2,9 @@
 
 A scenario document maps onto ``ScenarioConfig`` field by field: types come
 from the dataclass annotations, defaults from the dataclasses, and a field's
-``min`` metadata bounds every number it holds. Unknown keys, missing required
-fields and bad values raise ``ScenarioError`` naming the field's dotted path.
+``min`` metadata bounds every number it holds. Unknown keys, keys a file
+repeats, missing required fields and bad values raise ``ScenarioError``
+naming the field's dotted path.
 Checks across fields run in ``ScenarioConfig.__post_init__``, so ``replace``
 and ``with_overrides`` make them too.
 """
@@ -115,13 +116,6 @@ class ScenarioConfig:
             # otherwise every attempt times out before it reaches the RAN
             raise ScenarioError("request_timeout_ms",
                                 "must be > radio_latency_ms")
-        for name in ("backhaul", "home_backhaul"):
-            profile = getattr(self, name)
-            try:
-                if profile is not None:
-                    profile.validate()
-            except ValueError as exc:
-                raise _field_error(name, exc, BackhaulProfile) from exc
         if not self.ues:
             raise ScenarioError("ues", "at least one cohort is required")
         cohorts = set()
@@ -226,6 +220,9 @@ class ScenarioConfig:
                        seed=self.seed if seed is None else seed)
 
 
+# what a key that a scenario file repeats maps to
+_REPEATED = object()
+
 _TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
                str: "a string"}
 
@@ -253,6 +250,8 @@ def _load(tp, value, where: str, minimum: float | None = None):
     ``where`` is the dotted path of ``value`` in the document; ``minimum``
     bounds every number ``value`` holds.
     """
+    if value is _REPEATED:
+        raise ScenarioError(where, "key appears more than once")
     if is_dataclass(tp):
         if not isinstance(value, dict):
             raise ScenarioError(where or "scenario", "must be an object")
@@ -310,12 +309,23 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
     return _load(ScenarioConfig, doc, "")
 
 
+def _mark_repeated(pairs: list[tuple[str, typing.Any]]) -> dict:
+    """A JSON object whose repeated keys map to ``_REPEATED``."""
+    obj = {}
+    for key, value in pairs:
+        obj[key] = _REPEATED if key in obj else value
+    return obj
+
+
 def load_scenario(path: str | Path) -> ScenarioConfig:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"),
+                         object_pairs_hook=_mark_repeated)
     except json.JSONDecodeError as exc:
         raise ScenarioError("<file>",
                             f"parse error at line {exc.lineno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError("<file>", str(exc)) from exc
     return config_from_dict(doc)
 
 

@@ -122,17 +122,16 @@ class Simulation:
     seed; without one, the run builds its own.
     """
 
-    def __init__(self, config: ScenarioConfig, seed: int | None = None, *,
+    def __init__(self, config: ScenarioConfig, *,
                  population: Population | None = None):
         self.cfg = config
-        self.seed = config.seed if seed is None else seed
         if population is None:
-            population = Population(config.ues, self.seed)
-        elif (population.seed != self.seed
+            population = Population(config.ues, config.seed)
+        elif (population.seed != config.seed
               or population.ues != tuple(config.ues)):
             raise ValueError("population was built for another seed or "
                              "other ues")
-        self.kernel = Kernel(self.seed)
+        self.kernel = Kernel(config.seed)
         self.colocated = config.design == "colocated"
 
         # only the assessor reads how busy the link is, so only a link it
@@ -195,11 +194,6 @@ class Simulation:
         return Ric(xapps, th.bandwidth_free_fraction, assessor=assessor,
                    cache=cache, dos_filter=dos)
 
-    def _home_core(self, network_id: str) -> CoreNetwork:
-        if network_id not in self.home_cores:
-            self.home_cores[network_id] = CoreNetwork(network_id)
-        return self.home_cores[network_id]
-
     def _build_population(self, population: Population) -> None:
         """This run's subscriber records, counters, USIMs and devices."""
         sn = self.cfg.serving_network
@@ -212,7 +206,8 @@ class Simulation:
                 policy = SubscriptionPolicy(
                     allowed_slices=frozenset(spec.allowed_slices),
                     authorized_services=frozenset(spec.authorized_services))
-                core = self._home_core(home) if roaming else self.serving
+                core = (self.home_cores.setdefault(home, CoreNetwork(home))
+                        if roaming else self.serving)
             members = self.cohorts[spec.cohort] = []
             for i, identity in enumerate(identities):
                 usim = None
@@ -244,12 +239,9 @@ class Simulation:
                                           ttl=pw.ttl_ms)
 
     def _find_record(self, device: UeDevice) -> SubscriberRecord | None:
-        suci = device.identity.suci
-        record = self.serving.find_by_suci(suci)
-        home = device.profile.home_network
-        if record is None and home in self.home_cores:
-            record = self.home_cores[home].find_by_suci(suci)
-        return record
+        # the one directory _build_population files the device's record in
+        core = self.home_cores.get(device.profile.home_network, self.serving)
+        return core.find_by_suci(device.identity.suci)
 
     def _store_cache_entries(self, device: UeDevice, record: SubscriberRecord,
                              k_seaf: bytes, now: int, ttl: int | None = None) -> None:
@@ -284,7 +276,7 @@ class Simulation:
         for att in list(self._open.values()):
             self._finalize(att, "timeout")
         return MetricsReport(
-            scenario=self.cfg.name, design=self.cfg.design, seed=self.seed,
+            scenario=self.cfg.name, design=self.cfg.design, seed=self.cfg.seed,
             rows=self.rows,
             dropped_by_filter=(self.ric.dos_filter.dropped
                                if self.ric.dos_filter else 0),
@@ -379,10 +371,8 @@ class Simulation:
         delay = self._path_delays[path]
         if path == "standard":
             return self._standard_flow(att, device, delay)
-        if path == "express":
-            return self._express_flow(att, device, entry, delay)
-        if path == "delegated":
-            return self._delegated_flow(att, device, entry, delay)
+        if path in ("express", "delegated"):
+            return self._local_flow(att, device, entry, delay)
         return self._probationary_flow(att, device, delay)
 
     def _finalize(self, att: Attempt, outcome: str) -> None:
@@ -532,44 +522,37 @@ class Simulation:
                 f"{','.join(sorted(device.session_services))}")
         return "success"
 
-    def _local_challenge(self, device: UeDevice, entry: DecisionCacheEntry,
-                         delay_ms: int):
-        """Challenge the device against the cached K_SEAF; True iff it passes."""
+    def _local_flow(self, att: Attempt, device: UeDevice,
+                    entry: DecisionCacheEntry, delay_ms: int):
+        """Challenge the device against the cached K_SEAF, then admit it at
+        the RAN on a live entry: on the cached decision (express), or by
+        the core's own admission rule run on the cached policy snapshot
+        (delegated). An entry that expired mid-challenge admits no one: the
+        attempt's path is chosen again."""
         yield delay_ms
         nonce = self.ric.next_nonce(self.kernel.stream("express-nonce"))
         yield self.cfg.radio_latency_ms  # challenge to the device
         mac = device.express_response(nonce)
         yield self.cfg.radio_latency_ms  # response back
-        return mac == crypto.express_mac(entry.k_nas, nonce)
-
-    def _express_flow(self, att: Attempt, device: UeDevice,
-                      entry: DecisionCacheEntry, delay_ms: int):
-        if not (yield from self._local_challenge(device, entry, delay_ms)):
+        if mac != crypto.express_mac(entry.k_nas, nonce):
             return "rejected"
         if not entry.live(self.kernel.now):
-            # entry expired mid-flow: choose the path again
             flow = self._route(att, screened=True)
             return flow if isinstance(flow, str) else (yield from flow)
-        device.open_session(entry.slice_grant, device.session_services
-                            or frozenset({device.profile.service or "data"}))
+        profile = device.profile
+        if att.path == "express":
+            device.open_session(entry.slice_grant, device.session_services
+                                or frozenset({profile.service or "data"}))
+        else:
+            policy = entry.control_plane_state
+            try:
+                policy.admit(profile.slice_id, profile.service)
+            except PolicyDenied:
+                return "policy-denied"
+            device.open_session(profile.slice_id, policy.authorized_services)
+            self.ric.log_access(self.kernel.now, device.identity.cached_id,
+                                "delegated-grant", profile.slice_id)
         yield self.cfg.radio_latency_ms  # grant
-        return "success"
-
-    def _delegated_flow(self, att: Attempt, device: UeDevice,
-                        entry: StateCacheEntry, delay_ms: int):
-        if not (yield from self._local_challenge(device, entry, delay_ms)):
-            return "rejected"
-        # the core's own admission rule, run on the cached snapshot
-        policy = entry.control_plane_state
-        try:
-            policy.admit(device.profile.slice_id, device.profile.service)
-        except PolicyDenied:
-            return "policy-denied"
-        device.open_session(device.profile.slice_id,
-                            policy.authorized_services)
-        self.ric.log_access(self.kernel.now, device.identity.cached_id,
-                            "delegated-grant", device.profile.slice_id)
-        yield self.cfg.radio_latency_ms
         return "success"
 
     def _probationary_flow(self, att: Attempt, device: UeDevice, delay_ms: int):

@@ -182,8 +182,8 @@ def test_07_dos_mitigation_ordering():
         base = load_preset("flash_crowd")
         budget = base.thresholds.dos_unknown_per_window
         for seed in (11, 12, 13, 14, 15):
-            on = Simulation(base, seed=seed).run()
-            off = Simulation(replace(base, dos_filter=False), seed=seed).run()
+            on = Simulation(base.with_overrides(seed=seed)).run()
+            off = Simulation(replace(base, dos_filter=False, seed=seed)).run()
             legit_on = on.success_rate("legit")
             assert legit_on >= 0.95
             leaked = [r for r in on.rows

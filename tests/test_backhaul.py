@@ -25,24 +25,24 @@ def make_link(window: int | None = None, **kwargs) -> BackhaulLink:
 class TestProfileValidation:
     def test_zero_bandwidth_rejected(self):
         with pytest.raises(ValueError):
-            BackhaulProfile(base_latency_ms=1, bandwidth_bps=0).validate()
+            BackhaulProfile(base_latency_ms=1, bandwidth_bps=0)
 
     def test_loss_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             BackhaulProfile(base_latency_ms=1, bandwidth_bps=1,
-                            loss_probability=1.5).validate()
+                            loss_probability=1.5)
 
     def test_jitter_beyond_base_latency_rejected(self):
         with pytest.raises(ValueError, match="^jitter_ms"):
             BackhaulProfile(base_latency_ms=50, bandwidth_bps=1,
-                            jitter_ms=51).validate()
+                            jitter_ms=51)
         BackhaulProfile(base_latency_ms=50, bandwidth_bps=1,
-                        jitter_ms=50).validate()
+                        jitter_ms=50)
 
     def test_overlapping_outages_rejected(self):
         with pytest.raises(ValueError, match="outages"):
             BackhaulProfile(base_latency_ms=1, bandwidth_bps=1,
-                            outages=[(0, 100), (50, 150)]).validate()
+                            outages=[(0, 100), (50, 150)])
 
 
 class TestInOutage:
@@ -53,7 +53,6 @@ class TestInOutage:
         for gap, length in gaps_and_lengths:
             outages.append((end + gap, end + gap + length))
             end += gap + length
-        # sorted and disjoint, but never validated
         profile = BackhaulProfile(base_latency_ms=1, bandwidth_bps=1,
                                   outages=outages)
         for t in range(-1, end + 2):

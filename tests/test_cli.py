@@ -95,6 +95,18 @@ class TestExitCodes:
         assert main(["run", "--scenario", "no-such-preset",
                      "--out", str(tmp_path / "x.csv")]) == 2
 
+    def test_scenario_directory_is_2(self, tmp_path, capsys):
+        assert main(["run", "--scenario", str(tmp_path),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert "validation error: <file>: " in capsys.readouterr().err
+
+    def test_undecodable_scenario_is_2(self, tmp_path, capsys):
+        scenario = small_scenario(tmp_path)
+        scenario.write_bytes(b"\xff\xfe" + scenario.read_bytes())
+        assert main(["run", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert "validation error: <file>: " in capsys.readouterr().err
+
     def test_run_failure_is_1(self, tmp_path, capsys):
         scenario = small_scenario(tmp_path)
         # output path inside a missing directory fails after validation

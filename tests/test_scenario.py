@@ -215,6 +215,28 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="line 3"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("once, twice, named", [
+        pytest.param('"seed": 1', '"seed": 1, "seed": 2', "seed", id="seed"),
+        pytest.param('"dos_window_ms": 5',
+                     '"dos_window_ms": 5, "dos_window_ms": 6',
+                     "thresholds.dos_window_ms", id="nested"),
+        pytest.param('"default": 64', '"default": 64, "default": 64',
+                     "message_bytes.default", id="map-same-value"),
+        pytest.param('"count": 2', '"count": 3, "count": 2', "ues[0].count",
+                     id="in-list"),
+    ])
+    def test_repeated_key_rejected_and_named(self, tmp_path, once, twice,
+                                             named):
+        doc = json.dumps(minimal_doc(thresholds={"dos_window_ms": 5},
+                                     message_bytes={"default": 64}))
+        path = tmp_path / "repeated.json"
+        path.write_text(doc)
+        load_scenario(path)  # each key once
+        path.write_text(doc.replace(once, twice))
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(path)
+        assert exc.value.fieldname == named
+
     def test_non_object_top_level_rejected(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2, 3]")

@@ -168,6 +168,19 @@ class TestFailureModes:
         (row,) = report.rows
         assert row.outcome == "subscriber-not-found"
 
+    def test_attacker_claiming_a_roamers_home_not_found(self):
+        # its home network is one a home core is built for: it is looked up
+        # there, among the roamer's records, and is not found
+        cfg = make_config(cohorts=[
+            one_ue(cohort="roam", behavior="roamer", home_network="net-home"),
+            {"cohort": "atk", "count": 1, "behavior": "attacker-flood",
+             "home_network": "net-home",
+             "arrival": {"kind": "flood", "time_ms": 0, "rate_per_s": 1}}])
+        sim = Simulation(cfg)
+        outcomes = {row.cohort: row.outcome for row in sim.run().rows}
+        assert outcomes == {"roam": "success", "atk": "subscriber-not-found"}
+        assert list(sim.home_cores) == ["net-home"]
+
     def test_disallowed_slice_policy_denied(self):
         cfg = make_config(cohorts=[one_ue(slice_id="secret",
                                           allowed_slices=["default"])])
@@ -322,6 +335,24 @@ class TestDelegatedPath:
         (device,) = sim.cohorts["solo"]
         assert device.session_slice == "default"
         assert device.session_services == frozenset({"data", "voice"})
+
+    @pytest.mark.parametrize("express, expected", [
+        # routing 10 + state-auth 20 + session-establish 20, 3 radio hops
+        (False, ("rejected", "reject", 2 + 50 + 2 * 2)),
+        # routing 10 + decision-cache 15, 3 radio hops
+        (True, ("rejected", "reject", 2 + 25 + 2 * 2)),
+    ])
+    def test_entry_expiring_mid_challenge_admits_no_one(self, express,
+                                                        expected):
+        # live at the 2 ms route, expired by the end of the challenge: the
+        # attempt is routed again, into the outage, and refused
+        cfg = self.outage_config(express_eligible=express)
+        cfg.prewarm[0].ttl_ms = 30
+        sim = Simulation(cfg)
+        (row,) = sim.run().rows
+        assert (row.outcome, row.path, row.latency_ms) == expected
+        (device,) = sim.cohorts["solo"]
+        assert device.session_slice is None
 
 
 class TestRanCache:
@@ -630,7 +661,7 @@ class TestLinkHealth:
     def test_presets_read_a_probe_at_most_an_interval_old(self, ages, preset,
                                                           design, seed):
         cfg = load_preset(preset).with_overrides(design=design)
-        Simulation(cfg, seed).run()
+        Simulation(cfg.with_overrides(seed=seed)).run()
         self.assert_within(ages, cfg.thresholds.probe_interval_ms)
         routed = "routing" in cfg.deployed_xapps()
         assert bool(ages["route"]) == routed
@@ -687,7 +718,7 @@ class TestInlineSteps:
         cfg = dataclasses.replace(load_preset(preset), design=design,
                                   radio_latency_ms=radio,
                                   core_hop_latency_ms=hop)
-        report = Simulation(cfg, seed=1).run()
+        report = Simulation(cfg.with_overrides(seed=1)).run()
         return report.to_csv(), report.aggregates
 
     @pytest.mark.parametrize("radio,hop", [(2, 1), (0, 0)])
@@ -851,8 +882,8 @@ class TestCredentials:
         corrupt = UeCohortSpec(cohort="corrupt", count=3,
                                behavior="interactive",
                                arrival=cfg.ues[0].arrival, corrupt_key=True)
-        alone = Population([corrupt], sim.seed).cohorts["corrupt"]
-        after = Population([*cfg.ues, corrupt], sim.seed).cohorts
+        alone = Population([corrupt], sim.cfg.seed).cohorts["corrupt"]
+        after = Population([*cfg.ues, corrupt], sim.cfg.seed).cohorts
         assert after["attackers"][1:] == (None, None)
         assert ([k.value for k in after["corrupt"].device_keys]
                 == [k.value for k in alone.device_keys])
@@ -981,7 +1012,8 @@ class TestPopulation:
         # cohorts compare by value, and the run's seed is the one checked
         same = make_config(cohorts=[one_ue(count=3)])
         Simulation(cfg, population=Population(same.ues, cfg.seed))
-        Simulation(cfg, seed=7, population=Population(cfg.ues, 7))
+        Simulation(cfg.with_overrides(seed=7),
+                   population=Population(cfg.ues, 7))
 
     def test_corrupt_keys_fail_in_every_design_of_a_comparison(self):
         cohorts = [one_ue(cohort="corrupt", count=4, corrupt_key=True,
