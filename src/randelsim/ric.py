@@ -52,6 +52,9 @@ class DecisionCacheEntry:
     slice_grant: str
     ttl: int
     created_at: int
+    service_grant: frozenset[str] = frozenset()
+    # the policy snapshot of replicated logic: the entry admits delegations
+    control_plane_state: SubscriptionPolicy | None = None
 
     @cached_property
     def k_nas(self) -> bytes:
@@ -60,13 +63,6 @@ class DecisionCacheEntry:
 
     def live(self, now: int) -> bool:
         return now < self.created_at + self.ttl
-
-
-@dataclass
-class StateCacheEntry(DecisionCacheEntry):
-    """Cached decision plus a snapshot of the subscriber's policy."""
-
-    control_plane_state: SubscriptionPolicy
 
 
 class TtlCache:
@@ -187,11 +183,12 @@ class DosFilter:
         self.window_ms = window_ms
         self.unknown_limit = unknown_limit
         self.retry_limit = retry_limit
-        self._unknown_times: deque[int] = deque()
-        # every check inside the window (``now`` never decreases), and how
-        # many of them each id made; an id is dropped with its last check
-        self._recent: deque[tuple[int, bytes]] = deque()
+        # every check inside the window (``now`` never decreases), flagged if
+        # it counts toward the unknown limit, and how many of them each id
+        # made; an id is dropped with its last check
+        self._recent: deque[tuple[int, bytes, bool]] = deque()
         self._per_id: dict[bytes, int] = {}
+        self._unknown = 0  # flagged checks: unknown, within the retry limit
         self.dropped = 0
 
     def check(self, cached_id: bytes, known: bool, now: int) -> bool:
@@ -199,23 +196,22 @@ class DosFilter:
         horizon = now - self.window_ms
         recent, per_id = self._recent, self._per_id
         while recent and recent[0][0] <= horizon:
-            old = recent.popleft()[1]
+            _, old, counted = recent.popleft()
+            self._unknown -= counted
             left = per_id[old] - 1
             if left:
                 per_id[old] = left
             else:
                 del per_id[old]
-        recent.append((now, cached_id))
         checks = per_id[cached_id] = per_id.get(cached_id, 0) + 1
+        counted = not known and checks <= self.retry_limit
+        recent.append((now, cached_id, counted))
         if checks > self.retry_limit:
             self.dropped += 1
             return False
-        if not known:
-            unknown = self._unknown_times
-            while unknown and unknown[0] <= horizon:
-                unknown.popleft()
-            unknown.append(now)
-            if len(unknown) > self.unknown_limit:
+        if counted:
+            self._unknown += 1
+            if self._unknown > self.unknown_limit:
                 self.dropped += 1
                 return False
         return True
@@ -276,7 +272,7 @@ class Ric:
             return "standard", "backhaul-healthy", None
         if not express_eligible and "state-auth" in self.xapps:
             entry = self.cache.lookup(cached_id, now)
-        if isinstance(entry, StateCacheEntry):
+        if entry is not None and entry.control_plane_state is not None:
             return "delegated", "state-cache-hit", entry
         if ("probationary" in self.xapps and roaming
                 and cached_id not in self.known_ids):

@@ -324,7 +324,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     except json.JSONDecodeError as exc:
         raise ScenarioError("<file>",
                             f"parse error at line {exc.lineno}: {exc.msg}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: undecodable bytes, or an int past the digit limit
         raise ScenarioError("<file>", str(exc)) from exc
     return config_from_dict(doc)
 

@@ -40,7 +40,7 @@ from .crypto import (MacFailure, RootSecret, SequenceState, SyncFailure,
 from .kernel import Kernel, seeded_stream
 from .metrics import MetricsReport, OutcomeRow
 from .ric import (DEFAULT_XAPP_DELAYS, BackhaulAssessor, DecisionCacheEntry,
-                  DosFilter, Ric, StateCacheEntry, TtlCache, XAppDescriptor)
+                  DosFilter, Ric, TtlCache, XAppDescriptor)
 from .scenario import ScenarioConfig
 from .ue import (UeCohortSpec, UeDevice, cohort_arrival_times,
                  sensor_attempt_times)
@@ -157,7 +157,6 @@ class Simulation:
         # start order, which the sweep at the horizon keeps
         self._open: dict[int, Attempt] = {}
         self.rows: list[OutcomeRow] = []
-        self._deferred_inflight: set[str] = set()
 
         self.ric = self._build_ric()
         self._ric_routes = "routing" in self.ric.xapps
@@ -228,6 +227,11 @@ class Simulation:
                 if device.profile.behavior == "attacker-flood":
                     continue
                 record = self._find_record(device)
+                try:  # the core's own decision, or none to cache
+                    record.subscription.admit(device.profile.slice_id,
+                                              device.profile.service)
+                except PolicyDenied:
+                    continue
                 # provisioning models a prior successful authentication
                 k = record.root_secret.hmac_key
                 rand = k.prf("PREWARM", sn.encode())
@@ -249,17 +253,13 @@ class Simulation:
             return
         ttl = ttl if ttl is not None else self.cfg.cache_ttl_ms
         cid = device.identity.cached_id
-        decision = dict(cached_id=cid, k_seaf=k_seaf,
-                        slice_grant=device.profile.slice_id,
-                        ttl=ttl, created_at=now)
-        if "state-auth" in self.ric.xapps:
-            # one entry per device: replicated logic authenticates from a
-            # snapshot of the subscriber's policy kept beside the decision
-            entry = StateCacheEntry(**decision,
-                                    control_plane_state=record.subscription)
-        else:
-            entry = DecisionCacheEntry(**decision)
-        self.ric.cache.store(entry)
+        policy = record.subscription
+        # one entry per device: replicated logic authenticates from a
+        # snapshot of the subscriber's policy kept beside the decision
+        self.ric.cache.store(DecisionCacheEntry(
+            cid, k_seaf, device.profile.slice_id, ttl, now,
+            policy.authorized_services,
+            policy if "state-auth" in self.ric.xapps else None))
         self.ric.known_ids.add(cid)
 
     # -- run ---------------------------------------------------------------
@@ -329,7 +329,7 @@ class Simulation:
 
     # -- attempt lifecycle -------------------------------------------------
 
-    def _start_attempt(self, device: UeDevice, request_type: str) -> None:
+    def _start_attempt(self, device: UeDevice, request_type: str) -> Attempt:
         now = self.kernel.now
         # reserved now, the timeout keeps its place among same-time events
         att = Attempt(device, request_type, now,
@@ -338,6 +338,7 @@ class Simulation:
         # one radio hop carries the request from the device to the RAN
         self.kernel.schedule(self.cfg.radio_latency_ms,
                              lambda: self._at_ran(att))
+        return att
 
     def _at_ran(self, att: Attempt) -> None:
         """Route an attempt that reached the RAN: a refusal ends it here."""
@@ -392,11 +393,9 @@ class Simulation:
         elif att.request_type == "reauth":
             # failed re-authentication tears the session down
             device.end_session()
-        if att.request_type == "deferred":
-            self._deferred_inflight.discard(device.ue_id)
-            if outcome in ("mac-failure", "sync-failure",
-                           "subscriber-not-found"):
-                self._terminate_probationary(device, outcome)
+        if att.request_type == "deferred" and outcome in (
+                "mac-failure", "sync-failure", "subscriber-not-found"):
+            self._terminate_probationary(device, outcome)
 
     # -- flow transport ----------------------------------------------------
 
@@ -540,9 +539,8 @@ class Simulation:
             flow = self._route(att, screened=True)
             return flow if isinstance(flow, str) else (yield from flow)
         profile = device.profile
-        if att.path == "express":
-            device.open_session(entry.slice_grant, device.session_services
-                                or frozenset({profile.service or "data"}))
+        if att.path == "express":  # the grant the core made
+            device.open_session(entry.slice_grant, entry.service_grant)
         else:
             policy = entry.control_plane_state
             try:
@@ -571,16 +569,15 @@ class Simulation:
 
     # -- probationary lifecycle --------------------------------------------
 
-    def _poll_deferred(self, device: UeDevice) -> None:
+    def _poll_deferred(self, device: UeDevice,
+                       deferred: Attempt | None = None) -> None:
         if device.session_slice != self.cfg.probationary.slice_id:
             return  # torn down, or on its own slice already
-        ue_id = device.ue_id
-        if (ue_id not in self._deferred_inflight
+        if ((deferred is None or deferred.timeout_seq not in self._open)
                 and self.ric.assessor.last.reachable):
-            self._deferred_inflight.add(ue_id)
-            self._start_attempt(device, "deferred")
+            deferred = self._start_attempt(device, "deferred")
         self.kernel.schedule(self.cfg.thresholds.probe_interval_ms,
-                             lambda: self._poll_deferred(device))
+                             lambda: self._poll_deferred(device, deferred))
 
     def _terminate_probationary(self, device: UeDevice, reason: str) -> None:
         cid = device.identity.cached_id

@@ -297,8 +297,6 @@ def test_13_security_audit(disaster_comparison):
         assert reports["colocated"].audit_flags == ["root-secret-at-edge"]
         for design in ("decision-cache", "logic-replication"):
             assert set(reports[design].audit_flags) <= {"k-seaf-at-edge"}
-        from randelsim.ric import (BackhaulHealth, StateCacheEntry,
-                                   audit_type_for_root_secret)
-        for tp in (DecisionCacheEntry, StateCacheEntry, BackhaulHealth,
-                   XAppDescriptor):
+        from randelsim.ric import BackhaulHealth, audit_type_for_root_secret
+        for tp in (DecisionCacheEntry, BackhaulHealth, XAppDescriptor):
             assert audit_type_for_root_secret(tp) == []

@@ -107,6 +107,20 @@ class TestExitCodes:
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert "validation error: <file>: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("malformed", ["huge-seed", "deep-nesting"])
+    def test_json_the_decoder_refuses_is_2(self, tmp_path, capsys, malformed):
+        if malformed == "huge-seed":
+            # past the interpreter's digit limit for converting a str to int
+            text = preset_path("zta").read_text().replace(
+                '"seed": 5', '"seed": ' + "7" * 5000)
+        else:  # past the decoder's recursion limit
+            text = "[" * 100_000 + "]" * 100_000
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(text)
+        assert main(["run", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert "validation error: <file>: " in capsys.readouterr().err
+
     def test_run_failure_is_1(self, tmp_path, capsys):
         scenario = small_scenario(tmp_path)
         # output path inside a missing directory fails after validation

@@ -11,8 +11,8 @@ from randelsim.backhaul import BackhaulLink, BackhaulProfile
 from randelsim.core import SubscriptionPolicy
 from randelsim.harness import compare_designs
 from randelsim.ric import (BackhaulAssessor, DecisionCacheEntry, DosFilter,
-                           InvalidBudget, Ric, StateCacheEntry, TtlCache,
-                           XAppDescriptor, audit_type_for_root_secret)
+                           InvalidBudget, Ric, TtlCache, XAppDescriptor,
+                           audit_type_for_root_secret)
 from randelsim.scenario import load_preset, preset_names
 
 if typing.TYPE_CHECKING:
@@ -31,7 +31,7 @@ def make_entry(cached_id=b"\x01" * 32, ttl=HOUR_TTL, created_at=0,
     if state:
         policy = SubscriptionPolicy(allowed_slices=frozenset({"default"}),
                                     authorized_services=frozenset({"data"}))
-        return StateCacheEntry(**decision, control_plane_state=policy)
+        return DecisionCacheEntry(**decision, control_plane_state=policy)
     return DecisionCacheEntry(**decision)
 
 
@@ -186,6 +186,28 @@ class TestDosFilter:
         assert f.check(cid, known=True, now=500) is False
         assert f.check(cid, known=True, now=1500) is True
 
+    @given(st.integers(1, 10), st.integers(0, 5), st.integers(0, 5),
+           st.lists(st.tuples(st.integers(0, 2), st.booleans(),
+                              st.integers(0, 3)), max_size=60))
+    def test_matches_a_model_over_the_whole_history(
+            self, window, unknown_limit, retry_limit, checks):
+        # reference: every check ever made, rescanned at each new one. A
+        # check dropped by the retry limit does not count toward the unknown
+        # limit; one dropped by the unknown limit does
+        f = DosFilter(window, unknown_limit, retry_limit)
+        history, now, dropped = [], 0, 0  # (time, id, counts as unknown)
+        for n, known, step in checks:
+            cid, now = bytes([n]) * 32, now + step
+            live = [h for h in history if h[0] > now - window]
+            retries = 1 + sum(h[1] == cid for h in live)
+            counted = not known and retries <= retry_limit
+            history.append((now, cid, counted))
+            passed = retries <= retry_limit and not (
+                counted and 1 + sum(h[2] for h in live) > unknown_limit)
+            dropped += not passed
+            assert f.check(cid, known, now) == passed
+            assert f.dropped == dropped
+
     def test_state_stays_bounded_over_many_identities(self):
         # 10,000 distinct ids, one check each, more than a window apart:
         # what the filter keeps must not grow with the ids it has seen
@@ -304,9 +326,8 @@ class TestStructuralAudit:
 
     def test_ran_side_types_cannot_hold_root_secret(self):
         from randelsim.ric import (BackhaulHealth, DecisionCacheEntry,
-                                   StateCacheEntry, XAppDescriptor)
-        for tp in (DecisionCacheEntry, StateCacheEntry, BackhaulHealth,
-                   XAppDescriptor):
+                                   XAppDescriptor)
+        for tp in (DecisionCacheEntry, BackhaulHealth, XAppDescriptor):
             assert audit_type_for_root_secret(tp) == []
 
     def test_audit_detects_root_secret(self):
@@ -318,9 +339,8 @@ class TestStructuralAudit:
         from randelsim.core import SubscriberRecord
         from randelsim.crypto import HmacKey
         from randelsim.ric import (BackhaulHealth, DecisionCacheEntry,
-                                   StateCacheEntry, XAppDescriptor)
-        for tp in (DecisionCacheEntry, StateCacheEntry, BackhaulHealth,
-                   XAppDescriptor):
+                                   XAppDescriptor)
+        for tp in (DecisionCacheEntry, BackhaulHealth, XAppDescriptor):
             assert audit_type_for_root_secret(tp, target=HmacKey) == []
         assert audit_type_for_root_secret(SubscriberRecord, target=HmacKey) \
             == ["root_secret.hmac_key"]
@@ -328,10 +348,9 @@ class TestStructuralAudit:
     def test_no_ran_side_type_reaches_a_population(self):
         # a population holds every subscriber's K
         from randelsim.ric import (BackhaulHealth, DecisionCacheEntry,
-                                   StateCacheEntry, XAppDescriptor)
+                                   XAppDescriptor)
         from randelsim.simulation import Population
-        for tp in (DecisionCacheEntry, StateCacheEntry, BackhaulHealth,
-                   XAppDescriptor):
+        for tp in (DecisionCacheEntry, BackhaulHealth, XAppDescriptor):
             assert audit_type_for_root_secret(tp, target=Population) == []
 
 

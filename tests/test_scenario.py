@@ -132,6 +132,11 @@ class TestConfigFromDict:
         # no rule reads a QoS class, so a scenario cannot set one
         ("ues[0].qos_class", "best-effort", "ues[0].qos_class"),
         ("ues", [], "ues"),
+        # otherwise every attempt times out before it reaches the RAN
+        ("request_timeout_ms", 2, "request_timeout_ms"),
+        ("backhaul.base_latency_ms", -1, "backhaul.base_latency_ms"),
+        ("message_bytes", [1], "message_bytes"),
+        ("xapp_delays_ms", [], "xapp_delays_ms"),
         ("message_bytes.default", -1, "message_bytes.default"),
         ("message_bytes.REG_REQEST", 100_000, "message_bytes.REG_REQEST"),
         # a later entry for a cohort would override the earlier one

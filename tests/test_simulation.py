@@ -6,12 +6,13 @@ import weakref
 import pytest
 
 from randelsim import crypto
+from randelsim.core import SubscriptionPolicy
 from randelsim.harness import compare_designs, run_scenario
 from randelsim.kernel import Kernel
 from randelsim.scenario import (DESIGNS, config_from_dict, load_preset,
                                 preset_names)
 from randelsim.ric import (DEFAULT_XAPP_DELAYS, BackhaulAssessor,
-                           DecisionCacheEntry, Ric, StateCacheEntry)
+                           DecisionCacheEntry, Ric)
 from randelsim.simulation import (BACKHAUL_MSGS_FULL_REG, BACKHAUL_MSGS_REAUTH,
                                   CORE_HOPS_FULL_REG, CORE_HOPS_REAUTH,
                                   HOME_MSGS_REFERRAL, RADIO_HOPS_FULL_REG,
@@ -273,6 +274,35 @@ class TestExpressPath:
         # the first challenge derives K_NAS on both sides, later ones reuse it
         assert all(n <= 2 for n in per_attempt[2:])
 
+    @pytest.mark.parametrize("design", ["decision-cache", "logic-replication"])
+    def test_prewarm_caches_no_decision_the_core_denies(self, design):
+        # the core refuses the service: nothing is cached, and the attempt
+        # goes to the core, which denies it as it does under the baseline
+        sim = Simulation(make_config(
+            design=design, horizon=10_000,
+            cohorts=[one_ue(behavior="periodic-sensor", express_eligible=True,
+                            service="video", authorized_services=["data"])],
+            prewarm=[{"cohort": "solo"}]))
+        assert len(sim.ric.cache) == 0 and not sim.ric.known_ids
+        (row,) = sim.run().rows
+        assert (row.outcome, row.path) == ("policy-denied", "standard")
+        (device,) = sim.cohorts["solo"]
+        assert device.session_slice is None
+
+    @pytest.mark.parametrize("design", ["decision-cache", "logic-replication"])
+    def test_express_grant_is_the_cores_services(self, design):
+        sim = Simulation(make_config(
+            design=design, horizon=10_000,
+            cohorts=[one_ue(behavior="periodic-sensor", express_eligible=True,
+                            slice_id="edge", allowed_slices=["edge"],
+                            authorized_services=["edge-data"])],
+            prewarm=[{"cohort": "solo"}]))
+        (row,) = sim.run().rows
+        assert (row.outcome, row.path) == ("success", "express")
+        (device,) = sim.cohorts["solo"]
+        assert (device.session_slice, device.session_services) == (
+            "edge", frozenset({"edge-data"}))
+
     def test_expired_entry_falls_back_to_standard(self):
         cfg = self.prewarmed_config(horizon=10_000)
         cfg.prewarm[0].ttl_ms = 1  # dead before the device arrives
@@ -320,7 +350,17 @@ class TestDelegatedPath:
     @pytest.mark.parametrize("overrides", [{"service": "drone-control"},
                                            {"slice_id": "edge"}])
     def test_snapshot_policy_still_enforced(self, overrides):
-        report = Simulation(self.outage_config(**overrides)).run()
+        # prewarm caches only what the core admits, so the cached snapshot
+        # is narrowed after the fact to one that refuses the request
+        sim = Simulation(self.outage_config(
+            allowed_slices=["default", "edge"],
+            authorized_services=["data", "drone-control"], **overrides))
+        (device,) = sim.cohorts["solo"]
+        sim.ric.cache.lookup(device.identity.cached_id, 0) \
+            .control_plane_state = SubscriptionPolicy(
+                allowed_slices=frozenset({"default"}),
+                authorized_services=frozenset({"data"}))
+        report = sim.run()
         (row,) = report.rows
         assert (row.outcome, row.path) == ("policy-denied", "delegated")
         # denied after the challenge, before the grant's radio hop
@@ -367,9 +407,12 @@ class TestRanCache:
                    for members in sim.cohorts.values() for device in members}
         assert all(cid == entry.cached_id and cid in devices
                    for cid, entry in entries.items())
-        kind = (StateCacheEntry if design == "logic-replication"
-                else DecisionCacheEntry)
-        assert {type(entry) for entry in entries.values()} == {kind}
+        assert {type(entry) for entry in entries.values()} == {
+            DecisionCacheEntry}
+        # a policy snapshot exactly where the RAN replicates the core's logic
+        assert {entry.control_plane_state is not None
+                for entry in entries.values()} == {
+            design == "logic-replication"}
 
 
 class TestProbationary:
@@ -641,9 +684,9 @@ class TestLinkHealth:
             ages["route"].append(now - probed[ric.assessor])
             return route(ric, cached_id, express_eligible, roaming, now)
 
-        def checked_poll(sim, device):
+        def checked_poll(sim, device, *rest):
             ages["poll"].append(sim.kernel.now - probed[sim.ric.assessor])
-            return poll(sim, device)
+            return poll(sim, device, *rest)
 
         monkeypatch.setattr(BackhaulAssessor, "assess", recorded_assess)
         monkeypatch.setattr(Ric, "route_registration", checked_route)
