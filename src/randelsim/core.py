@@ -29,7 +29,7 @@ class SubscriptionPolicy:
             raise ValueError("allowed_slices must be nonempty")
 
     def admit(self, slice_id: str, service: str | None) -> None:
-        """The one admission rule, at the core or on a RAN-side snapshot."""
+        """The one admission rule; only the core runs it."""
         if slice_id not in self.allowed_slices:
             raise PolicyDenied(f"slice {slice_id!r} not allowed")
         if service is not None and service not in self.authorized_services:
@@ -42,7 +42,6 @@ class SubscriberRecord:
     root_secret: RootSecret
     sequence: SequenceState
     subscription: SubscriptionPolicy
-    home_network: str
 
 
 @dataclass

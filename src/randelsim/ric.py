@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .backhaul import BackhaulLink
-from .core import SubscriptionPolicy
 from .crypto import RootSecret, derive_k_nas
 
 XAPP_DELAY_MIN_MS = 10
@@ -45,7 +44,9 @@ class InvalidBudget(Exception):
 
 @dataclass
 class DecisionCacheEntry:
-    """Cached core decision for one device; anchor key only, never the root."""
+    """The core's grant to one device, cached at the RAN: the slice and
+    services it admitted and the anchor key, never the root. Both local
+    paths open exactly this grant."""
 
     cached_id: bytes
     k_seaf: bytes
@@ -53,8 +54,6 @@ class DecisionCacheEntry:
     ttl: int
     created_at: int
     service_grant: frozenset[str] = frozenset()
-    # the policy snapshot of replicated logic: the entry admits delegations
-    control_plane_state: SubscriptionPolicy | None = None
 
     @cached_property
     def k_nas(self) -> bytes:
@@ -261,7 +260,7 @@ class Ric:
         """The path of a screened id, as ``route_registration`` returns it.
         The cache is looked up at most once, and only where an express or
         delegated path could follow. Link health is the assessor's last
-        probe."""
+        probe. Where ``state-auth`` runs, any live entry delegates."""
         entry = self.cache.lookup(cached_id, now) if express_eligible else None
         if entry is not None:
             return "express", "decision-cache-hit", entry
@@ -272,7 +271,7 @@ class Ric:
             return "standard", "backhaul-healthy", None
         if not express_eligible and "state-auth" in self.xapps:
             entry = self.cache.lookup(cached_id, now)
-        if entry is not None and entry.control_plane_state is not None:
+        if entry is not None:
             return "delegated", "state-cache-hit", entry
         if ("probationary" in self.xapps and roaming
                 and cached_id not in self.known_ids):

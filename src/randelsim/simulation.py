@@ -195,28 +195,25 @@ class Simulation:
 
     def _build_population(self, population: Population) -> None:
         """This run's subscriber records, counters, USIMs and devices."""
-        sn = self.cfg.serving_network
         for spec in self.cfg.ues:
             identities, home_keys, device_keys = \
                 population.cohorts[spec.cohort]
-            roaming = spec.cohort in self._roaming
-            home = spec.home_network if roaming else sn
             if home_keys is not None:
                 policy = SubscriptionPolicy(
                     allowed_slices=frozenset(spec.allowed_slices),
                     authorized_services=frozenset(spec.authorized_services))
+                home = spec.home_network
                 core = (self.home_cores.setdefault(home, CoreNetwork(home))
-                        if roaming else self.serving)
+                        if spec.cohort in self._roaming else self.serving)
             members = self.cohorts[spec.cohort] = []
             for i, identity in enumerate(identities):
                 usim = None
                 if home_keys is not None:
                     core.add_subscriber(SubscriberRecord(
                         identity=identity, root_secret=home_keys[i],
-                        sequence=SequenceState(), subscription=policy,
-                        home_network=home))
+                        sequence=SequenceState(), subscription=policy))
                     usim = UsimState(device_keys[i])
-                members.append(UeDevice(identity.supi, spec, identity, usim))
+                members.append(UeDevice(spec, identity, usim))
 
     def _prewarm_caches(self) -> None:
         if self.ric.cache is None:
@@ -253,13 +250,9 @@ class Simulation:
             return
         ttl = ttl if ttl is not None else self.cfg.cache_ttl_ms
         cid = device.identity.cached_id
-        policy = record.subscription
-        # one entry per device: replicated logic authenticates from a
-        # snapshot of the subscriber's policy kept beside the decision
         self.ric.cache.store(DecisionCacheEntry(
             cid, k_seaf, device.profile.slice_id, ttl, now,
-            policy.authorized_services,
-            policy if "state-auth" in self.ric.xapps else None))
+            record.subscription.authorized_services))
         self.ric.known_ids.add(cid)
 
     # -- run ---------------------------------------------------------------
@@ -381,8 +374,9 @@ class Simulation:
         device = att.device
         now = self.kernel.now
         self.rows.append(OutcomeRow(
-            device.ue_id, device.profile.cohort, att.request_type, outcome,
-            att.path, now - att.start, att.backhaul_msgs, att.backhaul_bytes))
+            device.identity.supi, device.profile.cohort, att.request_type,
+            outcome, att.path, now - att.start, att.backhaul_msgs,
+            att.backhaul_bytes))
         if outcome == "success":
             # a probationary admission is renewed by its deferred auth
             if (att.path != "probationary"
@@ -452,13 +446,13 @@ class Simulation:
             yield self._cross(att, "REG_REJECT", "amf", "ran")
             yield radio
             return "subscriber-not-found"
-        if record.home_network == sn:
+        if device.profile.cohort not in self._roaming:
             yield hop  # AUSF -> UDM
             av = crypto.generate_av(record.root_secret, record.sequence, sn,
                                     self.kernel.stream("av"))
             yield hop  # UDM -> AUSF
         else:
-            udm = f"{record.home_network}-udm"
+            udm = f"{device.profile.home_network}-udm"
             yield self._cross(att, "AV_REQUEST", "ausf", udm, home=True)
             av = crypto.generate_av(record.root_secret, record.sequence, sn,
                                     self.kernel.stream("av"))
@@ -523,11 +517,10 @@ class Simulation:
 
     def _local_flow(self, att: Attempt, device: UeDevice,
                     entry: DecisionCacheEntry, delay_ms: int):
-        """Challenge the device against the cached K_SEAF, then admit it at
-        the RAN on a live entry: on the cached decision (express), or by
-        the core's own admission rule run on the cached policy snapshot
-        (delegated). An entry that expired mid-challenge admits no one: the
-        attempt's path is chosen again."""
+        """Challenge the device against the cached K_SEAF, then open the
+        core's cached grant at the RAN on a live entry, on either path; the
+        delegated one logs it. An entry that expired mid-challenge admits no
+        one: the attempt's path is chosen again."""
         yield delay_ms
         nonce = self.ric.next_nonce(self.kernel.stream("express-nonce"))
         yield self.cfg.radio_latency_ms  # challenge to the device
@@ -538,18 +531,10 @@ class Simulation:
         if not entry.live(self.kernel.now):
             flow = self._route(att, screened=True)
             return flow if isinstance(flow, str) else (yield from flow)
-        profile = device.profile
-        if att.path == "express":  # the grant the core made
-            device.open_session(entry.slice_grant, entry.service_grant)
-        else:
-            policy = entry.control_plane_state
-            try:
-                policy.admit(profile.slice_id, profile.service)
-            except PolicyDenied:
-                return "policy-denied"
-            device.open_session(profile.slice_id, policy.authorized_services)
+        device.open_session(entry.slice_grant, entry.service_grant)
+        if att.path == "delegated":
             self.ric.log_access(self.kernel.now, device.identity.cached_id,
-                                "delegated-grant", profile.slice_id)
+                                "delegated-grant", entry.slice_grant)
         yield self.cfg.radio_latency_ms  # grant
         return "success"
 

@@ -62,7 +62,6 @@ class UeCohortSpec:
 class UeDevice:
     """Runtime device state: credentials plus keys learned during a run."""
 
-    ue_id: str
     profile: UeCohortSpec
     identity: UeIdentity
     usim: UsimState | None  # attackers: no subscription, no credentials

@@ -67,8 +67,8 @@ def test_01_mutual_auth_correctness():
             succeeded = {r.ue_id for r in report.rows
                          if r.outcome == "success"}
             assert len(succeeded) == 100  # every real subscriber got through
-            devices = {d.ue_id: d for members in sim.cohorts.values()
-                       for d in members}
+            devices = {d.identity.supi: d
+                       for members in sim.cohorts.values() for d in members}
             for ue_id in succeeded:
                 device = devices[ue_id]
                 cid = device.identity.cached_id

@@ -13,12 +13,11 @@ def make_policy(slices=("default",), services=("data",)) -> SubscriptionPolicy:
                               authorized_services=frozenset(services))
 
 
-def make_record(supi: str, home: str = "net-a") -> SubscriberRecord:
+def make_record(supi: str) -> SubscriberRecord:
     return SubscriberRecord(identity=crypto.conceal_identity(supi),
                             root_secret=RootSecret(b"\x01" * 32),
                             sequence=SequenceState(),
-                            subscription=make_policy(),
-                            home_network=home)
+                            subscription=make_policy())
 
 
 class TestSelectNf:

@@ -9,19 +9,27 @@ from randelsim.crypto import UeIdentity
 from randelsim.harness import compare_designs
 from randelsim.metrics import (CSV_COLUMNS, MetricsReport, OutcomeRow,
                                aggregate, percentile)
+from randelsim.ric import DecisionCacheEntry
 from randelsim.scenario import DESIGNS, load_preset, preset_names
 from randelsim.simulation import Attempt
+from randelsim.ue import UeDevice
 
 
-# The simulator builds these records with positional arguments on its
-# per-attempt path, so a reordered field would silently swap values.
+# The simulator builds these records with positional arguments, on its
+# per-attempt path or per device, so a reordered field would silently swap
+# values.
 @pytest.mark.parametrize("record, names", [
     (Attempt, ("device", "request_type", "start", "deadline", "timeout_seq",
                "path", "backhaul_msgs", "backhaul_bytes")),
     (OutcomeRow, ("ue_id", "cohort", "request_type", "outcome", "path",
                   "latency_ms", "backhaul_msgs", "backhaul_bytes")),
     (UeIdentity, ("supi", "suci", "cached_id")),
-], ids=["Attempt", "OutcomeRow", "UeIdentity"])
+    (UeDevice, ("profile", "identity", "usim", "hierarchy", "session_slice",
+                "session_services")),
+    (DecisionCacheEntry, ("cached_id", "k_seaf", "slice_grant", "ttl",
+                          "created_at", "service_grant")),
+], ids=["Attempt", "OutcomeRow", "UeIdentity", "UeDevice",
+        "DecisionCacheEntry"])
 def test_positionally_built_record_keeps_its_field_order(record, names):
     assert tuple(f.name for f in dataclasses.fields(record)) == names
 

@@ -1,19 +1,23 @@
 import dataclasses
 import inspect
+import itertools
+import math
 import random
 import tracemalloc
 import typing
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, strategies as st
 
 from randelsim.backhaul import BackhaulLink, BackhaulProfile
-from randelsim.core import SubscriptionPolicy
 from randelsim.harness import compare_designs
-from randelsim.ric import (BackhaulAssessor, DecisionCacheEntry, DosFilter,
+from randelsim.ric import (BackhaulAssessor, BackhaulHealth,
+                           DecisionCacheEntry, DosFilter,
                            InvalidBudget, Ric, TtlCache, XAppDescriptor,
                            audit_type_for_root_secret)
-from randelsim.scenario import load_preset, preset_names
+from randelsim.scenario import config_from_dict, load_preset, preset_names
+from randelsim.simulation import Simulation
 
 if typing.TYPE_CHECKING:
     # imported for type checkers only: at run time the name is unbound
@@ -24,15 +28,12 @@ HOUR_TTL = 3_600_000  # the canonical 60:00 m example
 PATHS = ("standard", "express", "delegated", "probationary", "reject")
 
 
-def make_entry(cached_id=b"\x01" * 32, ttl=HOUR_TTL, created_at=0,
-               state=False) -> DecisionCacheEntry:
-    decision = dict(cached_id=cached_id, k_seaf=b"\x02" * 32,
-                    slice_grant="default", ttl=ttl, created_at=created_at)
-    if state:
-        policy = SubscriptionPolicy(allowed_slices=frozenset({"default"}),
-                                    authorized_services=frozenset({"data"}))
-        return DecisionCacheEntry(**decision, control_plane_state=policy)
-    return DecisionCacheEntry(**decision)
+def make_entry(cached_id=b"\x01" * 32, ttl=HOUR_TTL,
+               created_at=0) -> DecisionCacheEntry:
+    return DecisionCacheEntry(cached_id=cached_id, k_seaf=b"\x02" * 32,
+                              slice_grant="default", ttl=ttl,
+                              created_at=created_at,
+                              service_grant=frozenset({"data"}))
 
 
 class TestXAppBudget:
@@ -258,13 +259,13 @@ class TestRouteRegistration:
 
     def test_state_cache_during_outage_delegated(self):
         ric = make_ric(outage=True)
-        ric.cache.store(make_entry(state=True))
+        ric.cache.store(make_entry())
         decision, _, _ = ric.route_registration(*make_request(), now=10)
         assert decision == "delegated"
 
     def test_one_state_entry_serves_express_and_delegated(self):
         ric = make_ric(outage=True)
-        ric.cache.store(make_entry(state=True))
+        ric.cache.store(make_entry())
         express = ric.route_registration(*make_request(express=True),
                                          now=10)
         delegated = ric.route_registration(*make_request(), now=20)
@@ -272,11 +273,14 @@ class TestRouteRegistration:
         assert delegated[0] == "delegated"
         assert express[2] is delegated[2]
 
-    def test_decision_entry_is_not_delegated(self):
+    def test_live_entry_delegates_where_state_auth_runs(self):
         ric = make_ric(outage=True, probationary=False)
-        ric.cache.store(make_entry())
-        decision, reason, _ = ric.route_registration(*make_request(), now=10)
-        assert (decision, reason) == ("reject", "no-path")
+        entry = make_entry()
+        ric.cache.store(entry)
+        decision, reason, found = ric.route_registration(*make_request(),
+                                                         now=10)
+        assert (decision, reason) == ("delegated", "state-cache-hit")
+        assert found is entry
 
     def test_unknown_roamer_during_outage_probationary(self):
         ric = make_ric(outage=True)
@@ -297,11 +301,11 @@ class TestRouteRegistration:
         assert (decision, reason) == ("reject", "filtered")
 
     @given(st.binary(min_size=32, max_size=32), st.booleans(),
-           st.booleans(), st.booleans(), st.booleans())
+           st.booleans(), st.booleans())
     def test_total_over_randomized_requests(self, cid, express, roaming,
-                                            outage, with_state):
+                                            outage):
         ric = make_ric(outage=outage)
-        ric.cache.store(make_entry(cached_id=cid, state=with_state))
+        ric.cache.store(make_entry(cached_id=cid))
         request = make_request(cached_id=cid, express=express, roaming=roaming)
         decision, reason, entry = ric.route_registration(*request, now=5)
         assert decision in PATHS
@@ -313,6 +317,142 @@ class TestRouteRegistration:
         comparison = compare_designs(load_preset(preset), seed=1)
         for report in comparison.reports.values():
             assert {row.path for row in report.rows} <= set(PATHS)
+
+
+class Case(NamedTuple):
+    """One input of routing: what is deployed, the device and the RAN."""
+
+    state_auth: bool  # logic-replication
+    probation: bool
+    dos: str  # "off", "pass" or "drop"
+    express: bool
+    roaming: bool
+    known: bool
+    blacklisted: bool
+    entry: str  # "none", "live" or "expired"
+    link: str  # "healthy", "short" of free bandwidth, or "unreachable"
+
+
+# The routing rule as the designs describe it: the first row whose test
+# holds names the path and its reason tag.
+ROUTING_TABLE = (
+    (lambda c: c.blacklisted, "reject", "blacklisted"),
+    (lambda c: c.dos == "drop", "reject", "filtered"),
+    (lambda c: c.express and c.entry == "live",
+     "express", "decision-cache-hit"),
+    (lambda c: c.link == "healthy", "standard", "backhaul-healthy"),
+    (lambda c: c.state_auth and c.entry == "live",
+     "delegated", "state-cache-hit"),
+    (lambda c: c.probation and c.roaming and not c.known,
+     "probationary", "unknown-roamer"),
+    (lambda c: True, "reject", "no-path"),
+)
+
+# (design, probationary xApp on, DoS verdicts): the filter is off, or on
+# with a verdict; a filter built with retry_limit=0 drops every check
+DEPLOYMENTS = [
+    (design, probation, verdicts)
+    for design, probations in (("decision-cache", (False,)),
+                               ("logic-replication", (False, True)))
+    for probation in probations
+    for verdicts in (("off",), ("pass", "drop"))
+]
+
+
+def routing_cases(design, probation, verdicts):
+    """Every routing input a run of this deployment can build. An id is
+    known once its entry is stored, so an id with an entry is known; only a
+    failed deferred auth blacklists, and only where probation runs."""
+    for verdict, express, roaming, known, blacklisted, entry, link in (
+            itertools.product(verdicts, *[(False, True)] * 4,
+                              ("none", "live", "expired"),
+                              ("healthy", "short", "unreachable"))):
+        if (entry != "none" and not known) or (blacklisted
+                                               and not probation):
+            continue
+        yield Case(design == "logic-replication", probation, verdict,
+                   express, roaming, known, blacklisted, entry, link)
+
+
+class TestRoutingTable:
+    NOW = 10
+    CID = b"\x07" * 32
+
+    def built_ric(self, case: Case, sims: dict) -> Ric:
+        """A RIC as a run of the case's deployment builds it."""
+        key = (case.state_auth, case.probation, case.dos)
+        if key not in sims:
+            sims[key] = Simulation(config_from_dict({
+                "name": "table", "seed": 0, "horizon_ms": 1000,
+                "design": ("logic-replication" if case.state_auth
+                           else "decision-cache"),
+                "backhaul": {"base_latency_ms": 20,
+                             "bandwidth_bps": 1_000_000},
+                "ues": [{"cohort": "c", "count": 1,
+                         "behavior": "interactive",
+                         "arrival": {"kind": "fixed"}}],
+                "dos_filter": case.dos != "off",
+                "thresholds": {"dos_retry_limit":
+                               0 if case.dos == "drop" else 3},
+                "probationary": {"enabled": case.probation},
+            }))
+        return sims[key]._build_ric()
+
+    def route(self, case: Case, sims: dict) -> tuple[str, list[str]]:
+        """Route the case: the reason tag it gets, and what disagrees with
+        the table or with the contract of ``choose_path``."""
+        ric = self.built_ric(case, sims)
+        # healthy at exactly the threshold, short one byte/s under it
+        threshold = math.ceil(ric.bandwidth_free_fraction
+                              * ric.assessor.link.profile.bandwidth_bps)
+        ric.assessor.last = BackhaulHealth(
+            reachable=case.link != "unreachable", measured_rtt=40,
+            available_bandwidth=threshold - (case.link == "short"))
+        stored = None
+        if case.entry != "none":
+            stored = make_entry(cached_id=self.CID, created_at=0,
+                                ttl=HOUR_TTL if case.entry == "live"
+                                else self.NOW)
+            ric.cache.store(stored)
+        if case.known:
+            ric.known_ids.add(self.CID)
+        if case.blacklisted:
+            ric.blacklist.add(self.CID)
+        lookups = []
+        lookup = ric.cache.lookup
+        ric.cache.lookup = lambda cid, now: (lookups.append(cid)
+                                             or lookup(cid, now))
+
+        path, reason, entry = ric.route_registration(
+            self.CID, case.express, case.roaming, self.NOW)
+
+        want = next((p, r) for test, p, r in ROUTING_TABLE if test(case))
+        wrong = []
+        if (path, reason) != want:
+            wrong.append(f"routed {(path, reason)}, table {want}")
+        if len(lookups) > 1:
+            wrong.append(f"{len(lookups)} cache lookups")
+        local = path in ("express", "delegated")
+        if entry is not (stored if local else None):
+            wrong.append(f"returned entry {entry!r}")
+        # an expired entry that routing looked up is evicted
+        kept = case.entry == "live" or (case.entry == "expired"
+                                        and not lookups)
+        if ric.cache.contains(self.CID) != kept:
+            wrong.append(f"entry kept: {not kept}")
+        return reason, wrong
+
+    def test_route_registration_follows_the_table(self):
+        sims, failures, reasons = {}, [], []
+        for deployment in DEPLOYMENTS:
+            for case in routing_cases(*deployment):
+                reason, wrong = self.route(case, sims)
+                reasons.append(reason)
+                failures.extend(f"{case}: {w}" for w in wrong)
+        assert not failures, "\n".join(failures[:10])
+        # 576 inputs, and each row of the table decides some of them
+        assert len(reasons) == 576
+        assert set(reasons) == {r for _, _, r in ROUTING_TABLE}
 
 
 class TestStructuralAudit:

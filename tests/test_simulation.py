@@ -6,7 +6,6 @@ import weakref
 import pytest
 
 from randelsim import crypto
-from randelsim.core import SubscriptionPolicy
 from randelsim.harness import compare_designs, run_scenario
 from randelsim.kernel import Kernel
 from randelsim.scenario import (DESIGNS, config_from_dict, load_preset,
@@ -347,31 +346,12 @@ class TestDelegatedPath:
         # routing 10 + state-auth 20 + session-establish 20, 4 radio hops
         assert row.latency_ms == 50 + 4 * 2 == 58
 
-    @pytest.mark.parametrize("overrides", [{"service": "drone-control"},
-                                           {"slice_id": "edge"}])
-    def test_snapshot_policy_still_enforced(self, overrides):
-        # prewarm caches only what the core admits, so the cached snapshot
-        # is narrowed after the fact to one that refuses the request
-        sim = Simulation(self.outage_config(
-            allowed_slices=["default", "edge"],
-            authorized_services=["data", "drone-control"], **overrides))
-        (device,) = sim.cohorts["solo"]
-        sim.ric.cache.lookup(device.identity.cached_id, 0) \
-            .control_plane_state = SubscriptionPolicy(
-                allowed_slices=frozenset({"default"}),
-                authorized_services=frozenset({"data"}))
-        report = sim.run()
-        (row,) = report.rows
-        assert (row.outcome, row.path) == ("policy-denied", "delegated")
-        # denied after the challenge, before the grant's radio hop
-        assert (row.latency_ms, row.backhaul_msgs) == (50 + 3 * 2, 0)
-
-    def test_local_session_from_snapshot(self):
+    def test_local_session_from_cached_grant(self):
         sim = Simulation(self.outage_config(
             authorized_services=["data", "voice"]))
         (row,) = sim.run().rows
         assert (row.outcome, row.path) == ("success", "delegated")
-        # the grant carries the snapshot's slice and services
+        # the session is the core's cached grant: its slice and services
         (device,) = sim.cohorts["solo"]
         assert device.session_slice == "default"
         assert device.session_services == frozenset({"data", "voice"})
@@ -403,16 +383,19 @@ class TestRanCache:
         sim.run()
         entries = sim.ric.cache._entries
         assert entries
-        devices = {device.identity.cached_id
-                   for members in sim.cohorts.values() for device in members}
-        assert all(cid == entry.cached_id and cid in devices
+        profiles = {device.identity.cached_id: device.profile
+                    for members in sim.cohorts.values() for device in members}
+        assert all(cid == entry.cached_id and cid in profiles
                    for cid, entry in entries.items())
         assert {type(entry) for entry in entries.values()} == {
             DecisionCacheEntry}
-        # a policy snapshot exactly where the RAN replicates the core's logic
-        assert {entry.control_plane_state is not None
-                for entry in entries.values()} == {
-            design == "logic-replication"}
+        # each entry carries the core's grant: the device's slice and the
+        # services its subscription authorizes
+        assert all(
+            (entry.slice_grant, entry.service_grant)
+            == (profiles[cid].slice_id,
+                frozenset(profiles[cid].authorized_services))
+            for cid, entry in entries.items())
 
 
 class TestProbationary:
@@ -829,7 +812,7 @@ class TestScale:
 
         def recording(self, device, request_type, *args, **kwargs):
             if request_type == "registration":
-                starts.append((self.kernel.now, device.ue_id))
+                starts.append((self.kernel.now, device.identity.supi))
             return start_attempt(self, device, request_type, *args, **kwargs)
 
         monkeypatch.setattr(Simulation, "_start_attempt", recording)
@@ -867,8 +850,8 @@ class TestScale:
                 else:
                     plan.append((t0, reference.kernel.reserve(), device))
         plan.sort(reverse=True)
-        assert [(t, seq, d.ue_id) for t, seq, d in sim._arrivals] == [
-            (t, seq, d.ue_id) for t, seq, d in plan]
+        assert ([(t, seq, d.identity.supi) for t, seq, d in sim._arrivals]
+                == [(t, seq, d.identity.supi) for t, seq, d in plan])
         assert sim.kernel.reserve() == reference.kernel.reserve()
 
     def test_per_device_records_have_no_instance_dict(self):

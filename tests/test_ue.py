@@ -16,7 +16,7 @@ def make_spec(behavior="interactive") -> UeCohortSpec:
 def make_device(k: bytes = b"\x11" * 32, behavior="interactive") -> UeDevice:
     identity = crypto.conceal_identity("ue-100")
     profile = make_spec(behavior)
-    return UeDevice(ue_id="ue-100", profile=profile, identity=identity,
+    return UeDevice(profile=profile, identity=identity,
                     usim=UsimState(k=RootSecret(k)))
 
 
@@ -99,7 +99,7 @@ class TestUeDevice:
 
     def test_credential_free_device_cannot_answer(self):
         identity = crypto.conceal_identity("ue-attacker")
-        device = UeDevice(ue_id="a", profile=make_spec("attacker-flood"),
+        device = UeDevice(profile=make_spec("attacker-flood"),
                           identity=identity, usim=None)
         av = crypto.generate_av(RootSecret(b"\x11" * 32), SequenceState(),
                                 "net-serving", random.Random(2))
