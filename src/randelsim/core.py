@@ -24,10 +24,6 @@ class SubscriptionPolicy:
     allowed_slices: frozenset[str]
     authorized_services: frozenset[str]
 
-    def __post_init__(self):
-        if not self.allowed_slices:
-            raise ValueError("allowed_slices must be nonempty")
-
     def admit(self, slice_id: str, service: str | None) -> None:
         """The one admission rule; only the core runs it."""
         if slice_id not in self.allowed_slices:

@@ -2,17 +2,14 @@
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import random
-import typing
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
 
 from .backhaul import BackhaulLink
-from .crypto import RootSecret, derive_k_nas
+from .crypto import SessionKeys
 
 XAPP_DELAY_MIN_MS = 10
 XAPP_DELAY_MAX_MS = 1000
@@ -42,23 +39,21 @@ class InvalidBudget(Exception):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class DecisionCacheEntry:
     """The core's grant to one device, cached at the RAN: the slice and
-    services it admitted and the anchor key, never the root. Both local
-    paths open exactly this grant."""
+    services it admitted and the anchor's session keys, never the root.
+    Both local paths open exactly this grant."""
 
-    cached_id: bytes
-    k_seaf: bytes
+    keys: SessionKeys
     slice_grant: str
     ttl: int
     created_at: int
     service_grant: frozenset[str] = frozenset()
 
-    @cached_property
-    def k_nas(self) -> bytes:
-        """Derived from the cached anchor once per entry; not a field."""
-        return derive_k_nas(self.k_seaf, self.cached_id)
+    @property
+    def cached_id(self) -> bytes:
+        return self.keys.cached_id
 
     def live(self, now: int) -> bool:
         return now < self.created_at + self.ttl
@@ -288,37 +283,3 @@ class Ric:
 
     def log_access(self, t: int, cached_id: bytes, event: str, detail: str) -> None:
         self.access_log.append((t, cached_id.hex()[:8], event, detail))
-
-
-def audit_type_for_root_secret(tp: type, _seen: set | None = None,
-                               target: type = RootSecret) -> list[str]:
-    """Structural audit: dataclass field paths reaching ``target``, if any."""
-    seen = _seen if _seen is not None else set()
-    if tp in seen:
-        return []
-    seen.add(tp)
-    hits: list[str] = []
-    if tp is target:
-        return ["<self>"]
-    if not dataclasses.is_dataclass(tp):
-        return []
-    # an annotation that does not resolve raises: it cannot be audited
-    hints = typing.get_type_hints(tp)
-    for f in dataclasses.fields(tp):
-        for sub in _walk_types(hints[f.name]):
-            if sub is target:
-                hits.append(f.name)
-            elif dataclasses.is_dataclass(sub):
-                hits.extend(f"{f.name}.{h}" for h in
-                            audit_type_for_root_secret(sub, seen, target))
-    return hits
-
-
-def _walk_types(tp) -> list[type]:
-    args = typing.get_args(tp)
-    if args:
-        out = []
-        for a in args:
-            out.extend(_walk_types(a))
-        return out
-    return [tp] if isinstance(tp, type) else []

@@ -22,7 +22,6 @@ from importlib import resources
 from pathlib import Path
 
 from .backhaul import BackhaulProfile
-from .core import SubscriptionPolicy
 from .ric import (DEFAULT_XAPP_DELAYS, DESIGN_XAPPS, InvalidBudget,
                   XAppDescriptor)
 from .ue import UeCohortSpec
@@ -127,11 +126,6 @@ class ScenarioConfig:
                 raise ScenarioError(f"{where}.cohort",
                                     f"duplicate cohort {spec.cohort!r}")
             cohorts.add(spec.cohort)
-            try:
-                SubscriptionPolicy(frozenset(spec.allowed_slices),
-                                   frozenset(spec.authorized_services))
-            except ValueError as exc:
-                raise _field_error(where, exc, UeCohortSpec) from exc
         unwarmed = set(cohorts)
         for i, pw in enumerate(self.prewarm):
             if pw.cohort not in unwarmed:

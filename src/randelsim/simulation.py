@@ -18,10 +18,6 @@ other step is queued. Both run the same steps in the same order.
 A ``Population`` holds what no design changes: each device's concealed
 identity and root secrets. The four runs of ``compare_designs`` share one,
 and each run builds its own mutable records and devices from it.
-
-Frozen flow constants (verified by the instrumented single-UE oracle trace):
-a full registration crosses the backhaul 6 times with 7 core-internal hops
-and 6 radio hops; a re-authentication uses 4/4/4.
 """
 
 from __future__ import annotations
@@ -42,16 +38,7 @@ from .metrics import MetricsReport, OutcomeRow
 from .ric import (DEFAULT_XAPP_DELAYS, BackhaulAssessor, DecisionCacheEntry,
                   DosFilter, Ric, TtlCache, XAppDescriptor)
 from .scenario import ScenarioConfig
-from .ue import (UeCohortSpec, UeDevice, cohort_arrival_times,
-                 sensor_attempt_times)
-
-BACKHAUL_MSGS_FULL_REG = 6
-BACKHAUL_MSGS_REAUTH = 4
-CORE_HOPS_FULL_REG = 7
-CORE_HOPS_REAUTH = 4
-RADIO_HOPS_FULL_REG = 6
-RADIO_HOPS_REAUTH = 4
-HOME_MSGS_REFERRAL = 2
+from .ue import UeCohortSpec, UeDevice, cohort_arrival_times
 
 
 @dataclass(slots=True)
@@ -203,8 +190,10 @@ class Simulation:
                     allowed_slices=frozenset(spec.allowed_slices),
                     authorized_services=frozenset(spec.authorized_services))
                 home = spec.home_network
-                core = (self.home_cores.setdefault(home, CoreNetwork(home))
-                        if spec.cohort in self._roaming else self.serving)
+                if spec.cohort not in self._roaming:
+                    core = self.serving
+                elif (core := self.home_cores.get(home)) is None:
+                    core = self.home_cores[home] = CoreNetwork(home)
             members = self.cohorts[spec.cohort] = []
             for i, identity in enumerate(identities):
                 usim = None
@@ -236,8 +225,9 @@ class Simulation:
                 k_seaf = device.learn_hierarchy(k_ausf, sn).k_seaf
                 if device.profile.corrupt_key:  # its USIM holds another K
                     device.derive_hierarchy_from_challenge(rand[:16], sn)
-                self._store_cache_entries(device, record, k_seaf, 0,
-                                          ttl=pw.ttl_ms)
+                # the RAN derives its keys apart from the device's
+                self._store_cache_entries(device, record, crypto.SessionKeys(
+                    k_seaf, device.identity.cached_id), 0, pw.ttl_ms)
 
     def _find_record(self, device: UeDevice) -> SubscriberRecord | None:
         # the one directory _build_population files the device's record in
@@ -245,15 +235,14 @@ class Simulation:
         return core.find_by_suci(device.identity.suci)
 
     def _store_cache_entries(self, device: UeDevice, record: SubscriberRecord,
-                             k_seaf: bytes, now: int, ttl: int | None = None) -> None:
+                             keys: crypto.SessionKeys, now: int,
+                             ttl: int) -> None:
         if self.ric.cache is None:
             return
-        ttl = ttl if ttl is not None else self.cfg.cache_ttl_ms
-        cid = device.identity.cached_id
         self.ric.cache.store(DecisionCacheEntry(
-            cid, k_seaf, device.profile.slice_id, ttl, now,
+            keys, device.profile.slice_id, ttl, now,
             record.subscription.authorized_services))
-        self.ric.known_ids.add(cid)
+        self.ric.known_ids.add(keys.cached_id)
 
     # -- run ---------------------------------------------------------------
 
@@ -298,7 +287,8 @@ class Simulation:
             devices = self.cohorts[spec.cohort]
             if spec.behavior == "periodic-sensor":
                 for device, t0 in zip(devices, times):
-                    periods = sensor_attempt_times(t0, spec.period_ms, horizon)
+                    # register, transmit, disconnect: once per period
+                    periods = range(t0, horizon, spec.period_ms)
                     first = reserve(len(periods))
                     plan.extend((t, first + i, device)
                                 for i, t in enumerate(periods))
@@ -477,14 +467,14 @@ class Simulation:
             return "mac-failure"
 
         hierarchy = crypto.build_hierarchy(av.k_derived, sn, cid)
-        k_seaf = hierarchy.k_seaf
         self.serving.seaf_hierarchies[cid] = hierarchy
         device.derive_hierarchy_from_challenge(av.rand, sn)
 
         yield self._cross(att, "AUTH_RESULT", "seaf", "ran")
         yield radio
         if not full:
-            self._store_cache_entries(device, record, k_seaf, self.kernel.now)
+            self._store_cache_entries(device, record, hierarchy,
+                                      self.kernel.now, cfg.cache_ttl_ms)
             return "success"
 
         yield radio
@@ -507,7 +497,8 @@ class Simulation:
                     != device.profile.slice_id)
         device.open_session(device.profile.slice_id,
                             record.subscription.authorized_services)
-        self._store_cache_entries(device, record, k_seaf, self.kernel.now)
+        self._store_cache_entries(device, record, hierarchy, self.kernel.now,
+                                  cfg.cache_ttl_ms)
         if upgraded:
             self.ric.log_access(
                 self.kernel.now, cid, "upgraded",
@@ -526,7 +517,7 @@ class Simulation:
         yield self.cfg.radio_latency_ms  # challenge to the device
         mac = device.express_response(nonce)
         yield self.cfg.radio_latency_ms  # response back
-        if mac != crypto.express_mac(entry.k_nas, nonce):
+        if mac != crypto.express_mac(entry.keys.k_nas, nonce):
             return "rejected"
         if not entry.live(self.kernel.now):
             flow = self._route(att, screened=True)

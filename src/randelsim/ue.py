@@ -56,6 +56,8 @@ class UeCohortSpec:
         if self.behavior not in BEHAVIORS:
             raise ValueError(f"behavior {self.behavior!r} is not one of "
                              f"{BEHAVIORS}")
+        if not self.allowed_slices:
+            raise ValueError("allowed_slices must be nonempty")
 
 
 @dataclass(slots=True)
@@ -125,11 +127,3 @@ def cohort_arrival_times(spec: ArrivalSpec, count: int, horizon_ms: int,
                  + int(min(i * 1000 / spec.rate_per_s, horizon_ms))
                  for i in range(count)]
     return [min(t, horizon_ms - 1) for t in times]
-
-
-def sensor_attempt_times(first_arrival: int, period_ms: int,
-                         horizon_ms: int) -> list[int]:
-    """Register, transmit, disconnect, repeat: one attempt per period."""
-    if period_ms <= 0:
-        raise ValueError("period_ms must be > 0")
-    return list(range(first_arrival, horizon_ms, period_ms))

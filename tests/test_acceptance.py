@@ -18,6 +18,7 @@ from randelsim.harness import compare_designs
 from randelsim.ric import DecisionCacheEntry, InvalidBudget, TtlCache, XAppDescriptor
 from randelsim.scenario import DESIGNS, config_from_dict, load_preset
 from randelsim.simulation import Simulation
+from structural_audit import audit_type_for_root_secret
 
 HOUR_TTL = 3_600_000
 PRESETS = ("disaster", "flash_crowd", "ntn", "zta")
@@ -257,7 +258,7 @@ def test_10_ttl_semantics():
     with criterion(10, "ttl-semantics"):
         cache = TtlCache(10_000)
         cache.store(DecisionCacheEntry(
-            cached_id=b"\x01" * 32, k_seaf=b"\x02" * 32,
+            keys=crypto.SessionKeys(b"\x02" * 32, b"\x01" * 32),
             slice_grant="default", ttl=HOUR_TTL, created_at=0))
         hit = cache.lookup(b"\x01" * 32, HOUR_TTL - 1)
         assert isinstance(hit, DecisionCacheEntry)
@@ -297,6 +298,6 @@ def test_13_security_audit(disaster_comparison):
         assert reports["colocated"].audit_flags == ["root-secret-at-edge"]
         for design in ("decision-cache", "logic-replication"):
             assert set(reports[design].audit_flags) <= {"k-seaf-at-edge"}
-        from randelsim.ric import BackhaulHealth, audit_type_for_root_secret
+        from randelsim.ric import BackhaulHealth
         for tp in (DecisionCacheEntry, BackhaulHealth, XAppDescriptor):
             assert audit_type_for_root_secret(tp) == []

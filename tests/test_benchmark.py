@@ -66,3 +66,16 @@ def test_workload_processes_its_pinned_event_count(workloads, monkeypatch,
     workloads.iterate(workload, workloads.scenario(workload, 1),
                       workloads.SetupClock())
     assert sum(processed) == events
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "4242"])
+def test_output_does_not_depend_on_string_hashing(pinned, hash_seed):
+    # one seed-1 design_sweep iteration in a process with its own hash seed
+    src = Path(randelsim.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed}
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload",
+         "design_sweep", "--seed", "1", "--digest-only"],
+        capture_output=True, text=True, timeout=120, env=env, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [pinned["design_sweep"]["1"]]

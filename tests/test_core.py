@@ -115,9 +115,3 @@ class TestEstablishSession:
         with pytest.raises(AuthRequired):
             core.establish_session(record.identity.cached_id,
                                    record.subscription, "default", None)
-
-
-def test_policy_requires_nonempty_slices():
-    with pytest.raises(ValueError):
-        SubscriptionPolicy(allowed_slices=frozenset(),
-                           authorized_services=frozenset({"data"}))

@@ -9,8 +9,9 @@ states (names, enumerations, link parameters, outages) draw from
 Every valid scenario must run (exit 0); the only other outcome is a
 validation error (exit 2), here for a scenario over the lowered attempt
 budget. A run failure (exit 1) is a bug. Every row of a run obeys the laws
-its design implies (``broken_laws``), and the kernel's work stays within
-``STEPS_PER_ATTEMPT`` steps per unit of ``attempt_bound()``.
+its design implies (``broken_laws``), no device is filtered by a blacklist
+it was never put on (``filtered_unblacklisted``), and the kernel's work
+stays within ``STEPS_PER_ATTEMPT`` steps per unit of ``attempt_bound()``.
 """
 
 import json
@@ -127,6 +128,23 @@ def documents(cls: type) -> st.SearchStrategy:
     return st.fixed_dictionaries(required, optional=optional)
 
 
+def corrupt_sensor_on_probation(draw, doc: dict) -> None:
+    """Make the first cohort sensors with a corrupt key that probation
+    admits in an outage at the start. Their deferred authentication fails
+    once the link is back, and their later periods meet the blacklist."""
+    doc["design"] = "logic-replication"  # the one with probation
+    doc["ues"][0].update(behavior="periodic-sensor", corrupt_key=True,
+                         arrival={"kind": "fixed", "time_ms": 0},
+                         period_ms=draw(st.sampled_from((1000, 2000))))
+    # the deferred authentication gets an answer once the outage ends
+    doc.pop("home_backhaul", None)
+    doc.pop("core_hop_latency_ms", None)
+    doc["backhaul"] = {
+        "base_latency_ms": draw(st.sampled_from((0, 10))),
+        "bandwidth_bps": 10_000_000,
+        "outages": [[0, draw(st.sampled_from((1000, 5000)))]]}
+
+
 def steer_to_the_ran(draw, doc: dict, names: list[str]) -> None:
     """Make the paths the RAN decides reachable in ``doc``.
 
@@ -135,8 +153,9 @@ def steer_to_the_ran(draw, doc: dict, names: list[str]) -> None:
     paths need. Each cohort's policy admits its request. The radio latency
     and request timeout are the defaults, which an answer fits, and the
     horizon fits every drawn arrival and its answer. The first cohort's
-    devices hold the right key and are either prewarmed or unknown roamers;
-    the other cohorts may be prewarmed.
+    devices are prewarmed or unknown roamers; the roamers hold the right
+    key or are ``corrupt_sensor_on_probation``. The other cohorts may be
+    prewarmed.
     """
     doc["design"] = draw(st.sampled_from(("logic-replication",
                                           "decision-cache")))
@@ -164,6 +183,8 @@ def steer_to_the_ran(draw, doc: dict, names: list[str]) -> None:
         warm.add(names[0])
     else:
         first["home_network"] = "net-far"  # never the serving network
+        if not draw(st.booleans()):
+            corrupt_sensor_on_probation(draw, doc)
     # a 20 ms entry is live when a request at 0 is routed, and expires
     # during its local challenge
     doc["prewarm"] = [
@@ -284,6 +305,27 @@ def broken_laws(config: ScenarioConfig, row: OutcomeRow) -> list[str]:
     return broken
 
 
+# the outcomes of a deferred authentication that terminate the device
+DEFERRED_FAILURES = ("mac-failure", "sync-failure", "subscriber-not-found")
+
+
+def filtered_unblacklisted(config: ScenarioConfig,
+                           rows: list[OutcomeRow]) -> list[OutcomeRow]:
+    """Where the DoS filter is not deployed, only the blacklist filters, and
+    a device is blacklisted only when its deferred authentication fails:
+    the ``filtered`` rows that no failed ``deferred`` row of the same device
+    comes before."""
+    if "dos-filter" in config.deployed_xapps():
+        return []
+    failed, broken = set(), []
+    for row in rows:
+        if row.request_type == "deferred" and row.outcome in DEFERRED_FAILURES:
+            failed.add(row.ue_id)
+        elif row.outcome == "filtered" and row.ue_id not in failed:
+            broken.append(row)
+    return broken
+
+
 def check_run(doc: dict) -> None:
     """Run ``doc`` through the CLI and again in process, and check both."""
     with tempfile.TemporaryDirectory() as tmp, \
@@ -312,6 +354,10 @@ def check_run(doc: dict) -> None:
     broken = [(row, law) for row in report.rows
               for law in broken_laws(config, row)]
     assert not broken, broken[:5]
+    unblacklisted = filtered_unblacklisted(config, report.rows)
+    assert not unblacklisted, unblacklisted[:5]
+    if any(what == "terminated" for _, _, what, _ in sim.ric.access_log):
+        event("terminates a device")
 
 
 @settings(max_examples=100, deadline=None)

@@ -26,8 +26,8 @@ from randelsim.ue import UeDevice
     (UeIdentity, ("supi", "suci", "cached_id")),
     (UeDevice, ("profile", "identity", "usim", "hierarchy", "session_slice",
                 "session_services")),
-    (DecisionCacheEntry, ("cached_id", "k_seaf", "slice_grant", "ttl",
-                          "created_at", "service_grant")),
+    (DecisionCacheEntry, ("keys", "slice_grant", "ttl", "created_at",
+                          "service_grant")),
 ], ids=["Attempt", "OutcomeRow", "UeIdentity", "UeDevice",
         "DecisionCacheEntry"])
 def test_positionally_built_record_keeps_its_field_order(record, names):

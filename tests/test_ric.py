@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from randelsim.backhaul import BackhaulLink, BackhaulProfile
+from randelsim.crypto import SessionKeys
 from randelsim.harness import compare_designs
 from randelsim.ric import (BackhaulAssessor, BackhaulHealth,
                            DecisionCacheEntry, DosFilter,
-                           InvalidBudget, Ric, TtlCache, XAppDescriptor,
-                           audit_type_for_root_secret)
+                           InvalidBudget, Ric, TtlCache, XAppDescriptor)
 from randelsim.scenario import config_from_dict, load_preset, preset_names
 from randelsim.simulation import Simulation
+from structural_audit import audit_type_for_root_secret
 
 if typing.TYPE_CHECKING:
     # imported for type checkers only: at run time the name is unbound
@@ -30,7 +31,7 @@ PATHS = ("standard", "express", "delegated", "probationary", "reject")
 
 def make_entry(cached_id=b"\x01" * 32, ttl=HOUR_TTL,
                created_at=0) -> DecisionCacheEntry:
-    return DecisionCacheEntry(cached_id=cached_id, k_seaf=b"\x02" * 32,
+    return DecisionCacheEntry(keys=SessionKeys(b"\x02" * 32, cached_id),
                               slice_grant="default", ttl=ttl,
                               created_at=created_at,
                               service_grant=frozenset({"data"}))

@@ -128,6 +128,7 @@ class TestConfigFromDict:
         ("dos_filter", 1, "dos_filter"),
         ("ues[0].allowed_slices", "default", "ues[0].allowed_slices"),
         ("ues[0].allowed_slices", [], "ues[0].allowed_slices"),
+        ("ues[0].period_ms", 0, "ues[0].period_ms"),
         ("ues[0].qos_class", "gold", "ues[0].qos_class"),
         # no rule reads a QoS class, so a scenario cannot set one
         ("ues[0].qos_class", "best-effort", "ues[0].qos_class"),

@@ -5,20 +5,27 @@ import weakref
 
 import pytest
 
-from randelsim import crypto
+from randelsim import crypto, simulation
 from randelsim.harness import compare_designs, run_scenario
 from randelsim.kernel import Kernel
 from randelsim.scenario import (DESIGNS, config_from_dict, load_preset,
                                 preset_names)
 from randelsim.ric import (DEFAULT_XAPP_DELAYS, BackhaulAssessor,
                            DecisionCacheEntry, Ric)
-from randelsim.simulation import (BACKHAUL_MSGS_FULL_REG, BACKHAUL_MSGS_REAUTH,
-                                  CORE_HOPS_FULL_REG, CORE_HOPS_REAUTH,
-                                  HOME_MSGS_REFERRAL, RADIO_HOPS_FULL_REG,
-                                  RADIO_HOPS_REAUTH, Attempt, Population,
-                                  Simulation)
-from randelsim.ue import (UeCohortSpec, UeDevice, cohort_arrival_times,
-                          sensor_attempt_times)
+from randelsim.simulation import Attempt, Population, Simulation
+from randelsim.ue import UeCohortSpec, UeDevice, cohort_arrival_times
+
+# Frozen flow constants, verified by the instrumented single-UE oracle
+# trace: a full registration crosses the backhaul 6 times with 7
+# core-internal hops and 6 radio hops; a re-authentication uses 4/4/4. A
+# roamer's vector is fetched from its home network in 2 messages.
+BACKHAUL_MSGS_FULL_REG = 6
+BACKHAUL_MSGS_REAUTH = 4
+CORE_HOPS_FULL_REG = 7
+CORE_HOPS_REAUTH = 4
+RADIO_HOPS_FULL_REG = 6
+RADIO_HOPS_REAUTH = 4
+HOME_MSGS_REFERRAL = 2
 
 # Shared link parameters for the arithmetic oracles below: 512 B at 1 MB/s
 # serializes in 1 ms, so each backhaul crossing costs 50 + 1 = 51 ms.
@@ -844,8 +851,7 @@ class TestScale:
                                          cfg.horizon_ms, rng)
             for device, t0 in zip(reference.cohorts[spec.cohort], times):
                 if spec.behavior == "periodic-sensor":
-                    for t in sensor_attempt_times(t0, spec.period_ms,
-                                                  cfg.horizon_ms):
+                    for t in range(t0, cfg.horizon_ms, spec.period_ms):
                         plan.append((t, reference.kernel.reserve(), device))
                 else:
                     plan.append((t0, reference.kernel.reserve(), device))
@@ -959,7 +965,7 @@ class TestCredentials:
             # the cache keeps the home K's anchor, the device its own
             for device in devices:
                 entry = sim.ric.cache.lookup(device.identity.cached_id, 0)
-                assert device.hierarchy.k_seaf != entry.k_seaf
+                assert device.hierarchy.k_seaf != entry.keys.k_seaf
         rows = sim.run().rows
         assert len(rows) == 3
         for row in rows:
@@ -1040,6 +1046,29 @@ class TestPopulation:
         Simulation(cfg, population=Population(same.ues, cfg.seed))
         Simulation(cfg.with_overrides(seed=7),
                    population=Population(cfg.ues, 7))
+
+    def test_each_home_network_gets_one_core(self, monkeypatch):
+        built = []
+        core_init = simulation.CoreNetwork.__init__
+
+        def counting(core, network_id, *args, **kwargs):
+            built.append(network_id)
+            core_init(core, network_id, *args, **kwargs)
+
+        monkeypatch.setattr(simulation.CoreNetwork, "__init__", counting)
+        cohorts = [one_ue(cohort=f"roam{i}", behavior="roamer",
+                          home_network=home)
+                   for i, home in enumerate(("net-home", "net-far",
+                                             "net-home"))]
+        sim = Simulation(make_config(cohorts=cohorts))
+        # the serving core, then one per home network in cohort order
+        assert built == ["net-serving", "net-home", "net-far"]
+        assert list(sim.home_cores) == ["net-home", "net-far"]
+        # each roamer's record is filed in its own home network's core
+        for cohort, home in (("roam0", "net-home"), ("roam1", "net-far"),
+                             ("roam2", "net-home")):
+            (device,) = sim.cohorts[cohort]
+            assert sim.home_cores[home].find_by_suci(device.identity.suci)
 
     def test_corrupt_keys_fail_in_every_design_of_a_comparison(self):
         cohorts = [one_ue(cohort="corrupt", count=4, corrupt_key=True,

@@ -5,7 +5,7 @@ import pytest
 from randelsim import crypto
 from randelsim.crypto import RootSecret, SequenceState, UsimState
 from randelsim.ue import (ARRIVAL_KINDS, ArrivalSpec, UeCohortSpec, UeDevice,
-                          cohort_arrival_times, sensor_attempt_times)
+                          cohort_arrival_times)
 
 
 def make_spec(behavior="interactive") -> UeCohortSpec:
@@ -18,21 +18,6 @@ def make_device(k: bytes = b"\x11" * 32, behavior="interactive") -> UeDevice:
     profile = make_spec(behavior)
     return UeDevice(profile=profile, identity=identity,
                     usim=UsimState(k=RootSecret(k)))
-
-
-class TestSensorSchedule:
-    def test_two_minute_period_over_ten_minutes(self):
-        # 600 s horizon at a 120 s period: attempts at 0,120,240,360,480 s
-        times = sensor_attempt_times(0, 120_000, 600_000)
-        assert times == [0, 120_000, 240_000, 360_000, 480_000]
-        assert len(times) == 5
-
-    def test_offset_first_arrival(self):
-        assert sensor_attempt_times(5000, 60_000, 130_000) == [5000, 65_000, 125_000]
-
-    def test_bad_period_rejected(self):
-        with pytest.raises(ValueError):
-            sensor_attempt_times(0, 0, 1000)
 
 
 class TestArrivals:
@@ -72,6 +57,12 @@ class TestUeDevice:
     def test_unknown_behavior_rejected(self):
         with pytest.raises(ValueError):
             make_device(behavior="sleepy")
+
+    def test_cohort_requires_an_allowed_slice(self):
+        with pytest.raises(ValueError,
+                           match="^allowed_slices must be nonempty$"):
+            UeCohortSpec(cohort="c", count=1, behavior="interactive",
+                         arrival=ArrivalSpec(kind="fixed"), allowed_slices=())
 
     def test_answers_valid_challenge(self):
         device = make_device()
