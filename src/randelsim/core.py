@@ -64,22 +64,21 @@ class CoreNetwork:
             kind: [NfInstance(kind, f"{kind.lower()}{i + 1}") for i in range(n)]
             for kind, n in counts.items()
         }
-        self._by_suci: dict[str, SubscriberRecord] = {}
+        # keyed as the UDM keys, once the SIDF has de-concealed a SUCI
+        self._by_supi: dict[str, SubscriberRecord] = {}
         self.seaf_hierarchies: dict[bytes, SessionKeys] = {}
         self.transcript: list[str] = []
 
     # -- subscribers -------------------------------------------------------
 
     def add_subscriber(self, record: SubscriberRecord) -> None:
-        # a SUPI always conceals to the same SUCI, so this also catches a
-        # repeated SUPI
-        suci = record.identity.suci
-        if suci in self._by_suci:
-            raise ValueError(f"duplicate subscriber {record.identity.supi}")
-        self._by_suci[suci] = record
+        supi = record.identity.supi
+        if supi in self._by_supi:
+            raise ValueError(f"duplicate subscriber {supi}")
+        self._by_supi[supi] = record
 
-    def find_by_suci(self, suci: str) -> SubscriberRecord | None:
-        return self._by_suci.get(suci)
+    def find_by_supi(self, supi: str) -> SubscriberRecord | None:
+        return self._by_supi.get(supi)
 
     # -- NF selection ------------------------------------------------------
 

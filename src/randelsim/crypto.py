@@ -116,9 +116,10 @@ class SessionKeys:
 
 @dataclass(frozen=True, slots=True)
 class UeIdentity:
+    """A device's permanent identifier and the id the RAN knows it by."""
+
     supi: str
-    suci: str
-    cached_id: bytes  # SHA-256 of the concealed identifier
+    cached_id: bytes  # SHA-256 of the concealed identifier (SUCI)
 
 
 _BLOCK = 64  # SHA-256 block size in bytes
@@ -183,7 +184,8 @@ def conceal_identity(supi: str) -> UeIdentity:
     """Model SUCI as a keyed transform of SUPI; cache key is SHA-256(SUCI).
 
     The transform is ``prf(_CONCEAL_KEY, "SUCI", supi)``, resumed from the
-    precomputed pad states above.
+    precomputed pad states above. The SUCI only derives the cached id: the
+    core files subscribers by SUPI, as its UDM does (TS 33.501 6.12).
     """
     if not supi:
         raise ValueError("supi must be nonempty")
@@ -192,8 +194,7 @@ def conceal_identity(supi: str) -> UeIdentity:
     outer = _CONCEAL_OUTER.copy()
     outer.update(inner.digest())
     suci = "suci-" + outer.hexdigest()[:32]
-    cached_id = _sha256(suci.encode()).digest()
-    return UeIdentity(supi, suci, cached_id)
+    return UeIdentity(supi, _sha256(suci.encode()).digest())
 
 
 def _mac_over(k: HmacKey, sqn: int, rand: bytes) -> bytes:

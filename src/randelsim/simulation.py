@@ -15,9 +15,9 @@ finalizes the attempt with the flow's outcome. A step that no queued event
 comes before runs inline, on a clock moved on by ``Kernel.advance``; any
 other step is queued. Both run the same steps in the same order.
 
-A ``Population`` holds what no design changes: each device's concealed
-identity and root secrets. The four runs of ``compare_designs`` share one,
-and each run builds its own mutable records and devices from it.
+A ``Population`` holds what no design changes: each device's identity and
+root secrets. The four runs of ``compare_designs`` share one, and each run
+builds its own mutable records and devices from it.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heapify, heappop, heapreplace
+from itertools import count, islice, repeat
 from typing import NamedTuple
 
 from . import crypto
@@ -65,7 +67,7 @@ class CohortKeys(NamedTuple):
 class Population:
     """The part of a scenario's devices that no design changes.
 
-    Per cohort: each device's concealed identity, the root secret K its home
+    Per cohort: each device's SUPI and cached id, the root secret K its home
     network holds and the one its USIM holds. It is built on first read and
     never changes, so one population serves every run of the same ``ues``
     and seed; each ``Simulation`` builds its own mutable records from it.
@@ -137,9 +139,9 @@ class Simulation:
         self.cohorts: dict[str, list[UeDevice]] = {}
         self._roaming = {spec.cohort for spec in config.ues
                          if config.roams(spec)}
-        # arrivals not yet fired as (time, slot, device), latest first; only
-        # the last one is in the kernel queue
-        self._arrivals: list[tuple[int, int, UeDevice]] = []
+        # a heap of each arrival stream's next (time, slot, device, stream);
+        # only the first one is in the kernel queue
+        self._arrivals: list[tuple] = []
         # attempts from start to finalize, keyed by their timeout slot; in
         # start order, which the sweep at the horizon keeps
         self._open: dict[int, Attempt] = {}
@@ -232,7 +234,7 @@ class Simulation:
     def _find_record(self, device: UeDevice) -> SubscriberRecord | None:
         # the one directory _build_population files the device's record in
         core = self.home_cores.get(device.profile.home_network, self.serving)
-        return core.find_by_suci(device.identity.suci)
+        return core.find_by_supi(device.identity.supi)
 
     def _store_cache_entries(self, device: UeDevice, record: SubscriberRecord,
                              keys: crypto.SessionKeys, now: int,
@@ -271,42 +273,49 @@ class Simulation:
     def _schedule_arrivals(self) -> None:
         """Plan every arrival in a reserved slot; queue only the first.
 
-        Slots are reserved as one block per cohort, or per sensor device
-        (one slot per period), and numbered in cohort, device and period
-        order. Each arrival queues the next one when it fires. The next one
-        sorts after it, so the queue pops arrivals in the order it would if
-        all of them were queued up front, while holding one at a time.
+        Slots are reserved up front as one block per cohort, or per sensor
+        device (one slot per period), and numbered in cohort, device and
+        period order. Each block is a stream of ``(time, slot, device)`` in
+        that order, and the plan holds each stream's next one, so its first
+        entry is the earliest arrival left. Each cohort has its own RNG, so
+        times drawn as a stream is read are the ones drawn up front.
         """
         reserve = self.kernel.reserve
-        plan = self._arrivals
         horizon = self.cfg.horizon_ms
+        streams = []
         for spec in self.cfg.ues:
             rng = self.kernel.stream(f"arrival/{spec.cohort}")
             times = cohort_arrival_times(spec.arrival, spec.count, horizon,
                                          rng)
             devices = self.cohorts[spec.cohort]
             if spec.behavior == "periodic-sensor":
+                # a sensor's first time sizes its block, so it is drawn now
                 for device, t0 in zip(devices, times):
                     # register, transmit, disconnect: once per period
                     periods = range(t0, horizon, spec.period_ms)
-                    first = reserve(len(periods))
-                    plan.extend((t, first + i, device)
-                                for i, t in enumerate(periods))
+                    streams.append(zip(periods, count(reserve(len(periods))),
+                                       repeat(device)))
             else:
-                first = reserve(len(times))
-                plan.extend(zip(times, range(first, first + len(times)),
-                                devices))
-        # slots are unique, so two devices are never compared
-        plan.sort(reverse=True)
+                streams.append(zip(times, count(reserve(spec.count)),
+                                   devices))
+        # slots are unique, so two devices or streams are never compared
+        self._arrivals = [(*head, s) for s in streams for head in islice(s, 1)]
+        heapify(self._arrivals)
         self._queue_next_arrival()
 
     def _queue_next_arrival(self) -> None:
         if self._arrivals:
-            when, seq, _ = self._arrivals[-1]
+            when, seq, _, _ = self._arrivals[0]
             self.kernel.schedule_at(when, seq, self._arrive)
 
     def _arrive(self) -> None:
-        device = self._arrivals.pop()[2]
+        plan = self._arrivals
+        _, _, device, stream = plan[0]
+        for t, slot, nxt in stream:  # its next arrival takes its entry
+            heapreplace(plan, (t, slot, nxt, stream))
+            break
+        else:  # the stream has ended
+            heappop(plan)
         self._queue_next_arrival()
         self._start_attempt(device, "registration")
 

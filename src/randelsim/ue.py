@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from . import crypto
 from .crypto import SessionKeys, UeIdentity, UsimState
@@ -109,21 +111,23 @@ class UeDevice:
 
 
 def cohort_arrival_times(spec: ArrivalSpec, count: int, horizon_ms: int,
-                         rng: random.Random) -> list[int]:
+                         rng: random.Random) -> Iterator[int]:
     """One arrival time per device in the cohort, clipped to the horizon.
 
-    Offsets are clamped before ``int()``: a tiny rate makes them infinite.
+    Nondecreasing, and drawn as they are read. Only an offset inside the
+    horizon reaches ``int()``: a tiny rate makes offsets infinite.
     """
-    times: list[int] = []
+    last = horizon_ms - 1
+    t0, rate = spec.time_ms, spec.rate_per_s
     if spec.kind == "fixed":
-        times = [spec.time_ms] * count
-    elif spec.kind == "poisson":
-        t = float(spec.time_ms)
+        return repeat(min(t0, last), count)
+    if spec.kind == "flood":  # evenly spaced
+        return (t0 + int(x) if (x := i * 1000 / rate) < last - t0 else last
+                for i in range(count))
+
+    def poisson():
+        t = float(t0)
         for _ in range(count):
-            t += rng.expovariate(spec.rate_per_s) * 1000
-            times.append(int(min(t, horizon_ms)))
-    elif spec.kind == "flood":
-        times = [spec.time_ms
-                 + int(min(i * 1000 / spec.rate_per_s, horizon_ms))
-                 for i in range(count)]
-    return [min(t, horizon_ms - 1) for t in times]
+            t += rng.expovariate(rate) * 1000
+            yield int(t) if t < last else last
+    return poisson()

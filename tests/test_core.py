@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from randelsim import crypto
@@ -56,27 +54,18 @@ class TestSelectNf:
 class TestSubscribers:
     def test_duplicate_supi_rejected(self):
         core = CoreNetwork("net-a")
-        core.add_subscriber(make_record("ue-001"))
-        with pytest.raises(ValueError, match="duplicate subscriber ue-001"):
-            core.add_subscriber(make_record("ue-001"))
-
-    def test_suci_collision_rejected(self):
-        core = CoreNetwork("net-a")
         first = make_record("ue-001")
         core.add_subscriber(first)
-        other = make_record("ue-002")
-        other.identity = dataclasses.replace(other.identity,
-                                             suci=first.identity.suci)
-        with pytest.raises(ValueError, match="duplicate subscriber ue-002"):
-            core.add_subscriber(other)
-        assert core.find_by_suci(first.identity.suci) is first
+        with pytest.raises(ValueError, match="duplicate subscriber ue-001"):
+            core.add_subscriber(make_record("ue-001"))
+        assert core.find_by_supi("ue-001") is first
 
-    def test_lookup_by_suci(self):
+    def test_lookup_by_supi(self):
         core = CoreNetwork("net-a")
         record = make_record("ue-002")
         core.add_subscriber(record)
-        assert core.find_by_suci(record.identity.suci) is record
-        assert core.find_by_suci("suci-unknown") is None
+        assert core.find_by_supi(record.identity.supi) is record
+        assert core.find_by_supi("ue-unknown") is None
 
 
 class TestEstablishSession:

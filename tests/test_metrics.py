@@ -23,7 +23,7 @@ from randelsim.ue import UeDevice
                "path", "backhaul_msgs", "backhaul_bytes")),
     (OutcomeRow, ("ue_id", "cohort", "request_type", "outcome", "path",
                   "latency_ms", "backhaul_msgs", "backhaul_bytes")),
-    (UeIdentity, ("supi", "suci", "cached_id")),
+    (UeIdentity, ("supi", "cached_id")),
     (UeDevice, ("profile", "identity", "usim", "hierarchy", "session_slice",
                 "session_services")),
     (DecisionCacheEntry, ("keys", "slice_grant", "ttl", "created_at",

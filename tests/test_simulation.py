@@ -787,6 +787,20 @@ def flood_config(attackers):
                                  "rate_per_s": 2000})])
 
 
+def drain_arrivals(sim):
+    """Every planned ``(time, slot, ue_id)``, taken from the plan the way
+    ``_arrive`` takes it, with no attempt started."""
+    sim._start_attempt = lambda device, request_type: None
+    drained = []
+    while sim._arrivals:
+        t, seq, device, _ = sim._arrivals[0]
+        drained.append((t, seq, device.identity.supi))
+        sim._arrive()
+        # the queued arrival is never run; dropping it keeps the queue small
+        sim.kernel.discard_pending()
+    return drained
+
+
 class TestScale:
     def test_queue_holds_one_pending_arrival(self, monkeypatch):
         # queuing every arrival up front would hold all 5,000 at time 0
@@ -855,16 +869,51 @@ class TestScale:
                         plan.append((t, reference.kernel.reserve(), device))
                 else:
                     plan.append((t0, reference.kernel.reserve(), device))
-        plan.sort(reverse=True)
-        assert ([(t, seq, d.identity.supi) for t, seq, d in sim._arrivals]
-                == [(t, seq, d.identity.supi) for t, seq, d in plan])
+        plan.sort()
+        assert drain_arrivals(sim) == [(t, seq, d.identity.supi)
+                                       for t, seq, d in plan]
         assert sim.kernel.reserve() == reference.kernel.reserve()
+
+    @staticmethod
+    def sensor_config(periods):
+        """100 sensors with a 1 s period for ``periods`` periods, and a
+        2-device fixed cohort."""
+        return make_config(horizon=periods * 1000, cohorts=[
+            one_ue(cohort="sensors", count=100, behavior="periodic-sensor",
+                   period_ms=1000,
+                   arrival={"kind": "flood", "time_ms": 0,
+                            "rate_per_s": 100}),
+            one_ue(cohort="crowd", count=2)])
+
+    @pytest.mark.parametrize("periods", (10, 1000))
+    def test_arrival_plan_holds_one_entry_per_stream(self, periods):
+        sim = Simulation(self.sensor_config(periods))
+        sim._schedule_arrivals()
+        # one entry per sensor, and one for the fixed cohort
+        assert len(sim._arrivals) == 101
+        assert sim.kernel.pending() == 1
+
+    def test_arrival_plan_memory_does_not_grow_with_the_horizon(self):
+        retained = []
+        for periods in (10, 1000):
+            sim = Simulation(self.sensor_config(periods))
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                sim._schedule_arrivals()
+                gc.collect()
+                retained.append(tracemalloc.get_traced_memory()[0] - before)
+            finally:
+                tracemalloc.stop()
+        # 100 sensors of 1,000 periods each would be 100,000 planned entries
+        assert abs(retained[1] - retained[0]) < 2048
 
     def test_per_device_records_have_no_instance_dict(self):
         sim = Simulation(make_config())
         (device,) = sim.cohorts["solo"]
         identity, usim = device.identity, device.usim
-        record = sim.serving.find_by_suci(identity.suci)
+        record = sim.serving.find_by_supi(identity.supi)
         records = [device, device.profile, identity, usim, usim.k,
                    record.sequence]
         assert [type(r) for r in records] == [
@@ -928,7 +977,7 @@ class TestCredentials:
                    one_ue(cohort="corrupt", count=4, corrupt_key=True)]
         sim = Simulation(make_config(cohorts=cohorts))
         for device in sim.cohorts["corrupt"]:
-            record = sim.serving.find_by_suci(device.identity.suci)
+            record = sim.serving.find_by_supi(device.identity.supi)
             assert device.usim.k != record.root_secret
         report = sim.run()
         outcomes = {}
@@ -1068,7 +1117,7 @@ class TestPopulation:
         for cohort, home in (("roam0", "net-home"), ("roam1", "net-far"),
                              ("roam2", "net-home")):
             (device,) = sim.cohorts[cohort]
-            assert sim.home_cores[home].find_by_suci(device.identity.suci)
+            assert sim.home_cores[home].find_by_supi(device.identity.supi)
 
     def test_corrupt_keys_fail_in_every_design_of_a_comparison(self):
         cohorts = [one_ue(cohort="corrupt", count=4, corrupt_key=True,
@@ -1093,7 +1142,7 @@ class TestPopulation:
         assert ref() is None
         # K stays where it was: in the subscriber records and the USIMs
         for device in sim.cohorts["solo"]:
-            record = sim.serving.find_by_suci(device.identity.suci)
+            record = sim.serving.find_by_supi(device.identity.supi)
             assert device.usim.k is record.root_secret
 
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from randelsim import crypto
 from randelsim.crypto import RootSecret, SequenceState, UsimState
@@ -23,26 +24,52 @@ def make_device(k: bytes = b"\x11" * 32, behavior="interactive") -> UeDevice:
 class TestArrivals:
     def test_fixed_everyone_at_once(self):
         spec = ArrivalSpec(kind="fixed", time_ms=500)
-        assert cohort_arrival_times(spec, 4, 10_000, random.Random(0)) == [500] * 4
+        assert list(cohort_arrival_times(spec, 4, 10_000,
+                                         random.Random(0))) == [500] * 4
 
     def test_poisson_nondecreasing_and_clipped(self):
         spec = ArrivalSpec(kind="poisson", time_ms=0, rate_per_s=100)
-        times = cohort_arrival_times(spec, 50, 1000, random.Random(3))
+        times = list(cohort_arrival_times(spec, 50, 1000, random.Random(3)))
         assert times == sorted(times)
         assert all(t < 1000 for t in times)
 
     def test_flood_evenly_spaced(self):
         spec = ArrivalSpec(kind="flood", time_ms=0, rate_per_s=1000)
-        times = cohort_arrival_times(spec, 10, 60_000, random.Random(0))
+        times = list(cohort_arrival_times(spec, 10, 60_000, random.Random(0)))
         assert times == list(range(10))
 
     @pytest.mark.parametrize("kind", ARRIVAL_KINDS)
     def test_tiny_rates_stay_inside_the_horizon(self, kind):
         # offsets of 1 / 5e-324 s are infinite before the horizon clips them
         spec = ArrivalSpec(kind=kind, time_ms=100, rate_per_s=5e-324)
-        times = cohort_arrival_times(spec, 8, 10_000, random.Random(0))
+        times = list(cohort_arrival_times(spec, 8, 10_000, random.Random(0)))
         assert len(times) == 8
         assert all(type(t) is int and 0 <= t <= 9_999 for t in times)
+
+    @given(st.sampled_from(ARRIVAL_KINDS), st.integers(0, 3000),
+           st.floats(5e-324, 1e6), st.integers(1, 60), st.integers(1, 3000),
+           st.integers(0, 3))
+    @example("flood", 100, 5e-324, 8, 10_000, 0)
+    @example("poisson", 0, 1e6, 60, 1, 0)
+    def test_times_are_the_clamped_offsets(self, kind, time_ms, rate, count,
+                                           horizon, seed):
+        # the earlier list form: each offset clamped before int(), then
+        # every time clipped to the horizon
+        rng = random.Random(seed)
+        if kind == "fixed":
+            times = [time_ms] * count
+        elif kind == "flood":
+            times = [time_ms + int(min(i * 1000 / rate, horizon))
+                     for i in range(count)]
+        else:
+            times, t = [], float(time_ms)
+            for _ in range(count):
+                t += rng.expovariate(rate) * 1000
+                times.append(int(min(t, horizon)))
+        spec = ArrivalSpec(kind=kind, time_ms=time_ms, rate_per_s=rate)
+        assert list(cohort_arrival_times(spec, count, horizon,
+                                         random.Random(seed))) == [
+            min(t, horizon - 1) for t in times]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
