@@ -7,32 +7,18 @@ from dataclasses import dataclass
 from .crypto import RootSecret, SequenceState, SessionKeys, UeIdentity
 
 
-class NfUnavailable(Exception):
-    pass
-
-
-class PolicyDenied(Exception):
-    pass
-
-
-class AuthRequired(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class SubscriptionPolicy:
     allowed_slices: frozenset[str]
     authorized_services: frozenset[str]
 
-    def admit(self, slice_id: str, service: str | None) -> None:
+    def admit(self, slice_id: str, service: str | None) -> bool:
         """The one admission rule; only the core runs it."""
-        if slice_id not in self.allowed_slices:
-            raise PolicyDenied(f"slice {slice_id!r} not allowed")
-        if service is not None and service not in self.authorized_services:
-            raise PolicyDenied(f"service {service!r} not authorized")
+        return slice_id in self.allowed_slices and (
+            service is None or service in self.authorized_services)
 
 
-@dataclass
+@dataclass(slots=True)
 class SubscriberRecord:
     identity: UeIdentity
     root_secret: RootSecret
@@ -47,22 +33,19 @@ class NfInstance:
     load: int = 0
 
 
-DEFAULT_NF_COUNTS = {"AMF": 2, "AUSF": 2, "UDM": 1, "SMF": 2, "PCF": 1,
-                     "UPF": 2, "SEAF": 1}
+NF_COUNTS = {"AMF": 2, "AUSF": 2, "UDM": 1, "SMF": 2, "PCF": 1, "UPF": 2,
+             "SEAF": 1}
 
 
 class CoreNetwork:
     """One network's control plane: NF instance set, subscriber DB, the SEAF
     anchors of authenticated devices and a log of the messages it carried."""
 
-    def __init__(self, network_id: str, nf_counts: dict[str, int] | None = None):
+    def __init__(self, network_id: str):
         self.network_id = network_id
-        counts = dict(DEFAULT_NF_COUNTS)
-        if nf_counts:
-            counts.update(nf_counts)
         self.instances: dict[str, list[NfInstance]] = {
             kind: [NfInstance(kind, f"{kind.lower()}{i + 1}") for i in range(n)]
-            for kind, n in counts.items()
+            for kind, n in NF_COUNTS.items()
         }
         # keyed as the UDM keys, once the SIDF has de-concealed a SUCI
         self._by_supi: dict[str, SubscriberRecord] = {}
@@ -84,10 +67,7 @@ class CoreNetwork:
 
     def select_nf(self, kind: str) -> NfInstance:
         """Least-loaded instance, ties broken by lowest id."""
-        pool = self.instances.get(kind, [])
-        if not pool:
-            raise NfUnavailable(f"no {kind} instance available")
-        inst = min(pool, key=lambda nf: (nf.load, nf.id))
+        inst = min(self.instances[kind], key=lambda nf: (nf.load, nf.id))
         inst.load += 1
         return inst
 
@@ -97,20 +77,21 @@ class CoreNetwork:
 
     # -- sessions ----------------------------------------------------------
 
-    def establish_session(self, cached_id: bytes, policy: SubscriptionPolicy,
-                          slice_id: str, service: str | None) -> None:
-        """Admit an authenticated device's session on ``slice_id``.
+    def establish_session(self, policy: SubscriptionPolicy, slice_id: str,
+                          service: str | None) -> bool:
+        """Whether ``policy`` admits an authenticated device's session.
 
         The device holds the session that results; the core keeps no record
-        of it. The SMF and UPF it picks are held only for the call.
+        of it. The SMF and UPF an admitted session picks are held only for
+        the call.
         """
-        if cached_id not in self.seaf_hierarchies:
-            raise AuthRequired("session establishment before authentication")
-        policy.admit(slice_id, service)
+        if not policy.admit(slice_id, service):
+            return False
         smf = self.select_nf("SMF")
         upf = self.select_nf("UPF")
         self.release_nf(smf)
         self.release_nf(upf)
+        return True
 
     # -- trace log ---------------------------------------------------------
 

@@ -31,8 +31,7 @@ from typing import NamedTuple
 
 from . import crypto
 from .backhaul import BackhaulLink
-from .core import (CoreNetwork, PolicyDenied, SubscriberRecord,
-                   SubscriptionPolicy)
+from .core import CoreNetwork, SubscriberRecord, SubscriptionPolicy
 from .crypto import (MacFailure, RootSecret, SequenceState, SyncFailure,
                      UeIdentity, UsimState)
 from .kernel import Kernel, seeded_stream
@@ -215,10 +214,9 @@ class Simulation:
                 if device.profile.behavior == "attacker-flood":
                     continue
                 record = self._find_record(device)
-                try:  # the core's own decision, or none to cache
-                    record.subscription.admit(device.profile.slice_id,
-                                              device.profile.service)
-                except PolicyDenied:
+                # the core's own decision, or none to cache
+                if not record.subscription.admit(device.profile.slice_id,
+                                                 device.profile.service):
                     continue
                 # provisioning models a prior successful authentication
                 k = record.root_secret.hmac_key
@@ -491,11 +489,9 @@ class Simulation:
         yield hop  # AMF -> SMF
         yield hop  # SMF -> PCF (policy hop, no-op)
         yield hop  # SMF -> UPF
-        try:
-            self.serving.establish_session(
-                cid, record.subscription, device.profile.slice_id,
-                device.profile.service)
-        except PolicyDenied:
+        if not self.serving.establish_session(
+                record.subscription, device.profile.slice_id,
+                device.profile.service):
             yield self._cross(att, "SESSION_REJECT", "smf", "ran")
             yield radio
             return "policy-denied"

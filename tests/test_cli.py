@@ -247,7 +247,8 @@ class TestXappDelays:
             out = tmp_path / f"{design}.csv"
             assert main(["run", "--scenario", str(scenario), "--design",
                          design, "--out", str(out)]) == 0
-            rows[design] = list(csv.DictReader(out.open()))
+            rows[design] = list(csv.DictReader(
+                out.read_text().splitlines()))
         base, repl = rows["baseline"], rows["logic-replication"]
         assert [(r["ue_id"], r["path"]) for r in base] == [
             (r["ue_id"], r["path"]) for r in repl]

@@ -1,8 +1,7 @@
 import pytest
 
 from randelsim import crypto
-from randelsim.core import (AuthRequired, CoreNetwork, NfUnavailable,
-                            PolicyDenied, SubscriberRecord, SubscriptionPolicy)
+from randelsim.core import CoreNetwork, SubscriberRecord, SubscriptionPolicy
 from randelsim.crypto import RootSecret, SequenceState
 
 
@@ -20,23 +19,18 @@ def make_record(supi: str) -> SubscriberRecord:
 
 class TestSelectNf:
     def test_single_instance_selected(self):
-        core = CoreNetwork("net-a", nf_counts={"AMF": 1})
+        core = CoreNetwork("net-a")
         assert core.select_nf("AMF").id == "amf1"
 
     def test_least_loaded_wins(self):
-        core = CoreNetwork("net-a", nf_counts={"AMF": 2})
+        core = CoreNetwork("net-a")
         amf1, amf2 = core.instances["AMF"]
         amf1.load, amf2.load = 3, 1
         assert core.select_nf("AMF") is amf2
 
     def test_tie_broken_by_lowest_id(self):
-        core = CoreNetwork("net-a", nf_counts={"AMF": 3})
+        core = CoreNetwork("net-a")
         assert core.select_nf("AMF").id == "amf1"
-
-    def test_no_instance_raises(self):
-        core = CoreNetwork("net-a", nf_counts={"AMF": 0})
-        with pytest.raises(NfUnavailable):
-            core.select_nf("AMF")
 
     def test_pure_under_identical_state(self):
         a = CoreNetwork("net-a")
@@ -44,7 +38,7 @@ class TestSelectNf:
         assert a.select_nf("SMF").id == b.select_nf("SMF").id
 
     def test_load_released_on_resolution(self):
-        core = CoreNetwork("net-a", nf_counts={"AMF": 1})
+        core = CoreNetwork("net-a")
         inst = core.select_nf("AMF")
         assert inst.load == 1
         core.release_nf(inst)
@@ -69,38 +63,34 @@ class TestSubscribers:
 
 
 class TestEstablishSession:
-    def authed_core(self, supi="ue-001"):
-        core = CoreNetwork("net-a")
-        record = make_record(supi)
-        core.add_subscriber(record)
-        cid = record.identity.cached_id
-        core.seaf_hierarchies[cid] = crypto.build_hierarchy(
-            b"\x02" * 32, "net-a", cid)
-        return core, record, cid
+    @pytest.mark.parametrize("slice_id, service, admitted", [
+        ("default", "data", True),
+        ("default", "drone-control", False),
+        ("default", None, True),
+        ("secret-slice", "data", False),
+        ("secret-slice", "drone-control", False),
+        ("secret-slice", None, False),
+    ])
+    def test_admission_table(self, slice_id, service, admitted):
+        assert make_policy().admit(slice_id, service) is admitted
 
     def test_allowed_slice_is_admitted(self):
-        core, record, cid = self.authed_core()
-        core.establish_session(cid, record.subscription, "default", "data")
+        core = CoreNetwork("net-a")
+        assert core.establish_session(make_policy(), "default", "data") is True
         # the SMF and UPF it picked are free again
         assert all(nf.load == 0 for kind in ("SMF", "UPF")
                    for nf in core.instances[kind])
 
-    def test_disallowed_slice_policy_denied(self):
-        core, record, cid = self.authed_core()
-        with pytest.raises(PolicyDenied):
-            core.establish_session(cid, record.subscription, "secret-slice",
-                                   None)
-
-    def test_unauthorized_service_policy_denied(self):
-        core, record, cid = self.authed_core()
-        with pytest.raises(PolicyDenied):
-            core.establish_session(cid, record.subscription, "default",
-                                   "drone-control")
-
-    def test_unauthenticated_rejected(self):
+    def denied(self, monkeypatch, slice_id, service):
         core = CoreNetwork("net-a")
-        record = make_record("ue-009")
-        core.add_subscriber(record)
-        with pytest.raises(AuthRequired):
-            core.establish_session(record.identity.cached_id,
-                                   record.subscription, "default", None)
+        picks = []
+        monkeypatch.setattr(core, "select_nf", picks.append)
+        assert core.establish_session(make_policy(), slice_id,
+                                      service) is False
+        assert picks == []  # a denied session picks no SMF or UPF
+
+    def test_disallowed_slice_policy_denied(self, monkeypatch):
+        self.denied(monkeypatch, "secret-slice", None)
+
+    def test_unauthorized_service_policy_denied(self, monkeypatch):
+        self.denied(monkeypatch, "default", "drone-control")

@@ -6,6 +6,7 @@ import weakref
 import pytest
 
 from randelsim import crypto, simulation
+from randelsim.core import SubscriberRecord
 from randelsim.harness import compare_designs, run_scenario
 from randelsim.kernel import Kernel
 from randelsim.scenario import (DESIGNS, config_from_dict, load_preset,
@@ -914,11 +915,11 @@ class TestScale:
         (device,) = sim.cohorts["solo"]
         identity, usim = device.identity, device.usim
         record = sim.serving.find_by_supi(identity.supi)
-        records = [device, device.profile, identity, usim, usim.k,
+        records = [device, device.profile, identity, usim, usim.k, record,
                    record.sequence]
         assert [type(r) for r in records] == [
             UeDevice, UeCohortSpec, crypto.UeIdentity, crypto.UsimState,
-            crypto.RootSecret, crypto.SequenceState]
+            crypto.RootSecret, SubscriberRecord, crypto.SequenceState]
         assert not any(hasattr(r, "__dict__") for r in records)
 
     def test_cohort_devices_share_one_profile(self):
